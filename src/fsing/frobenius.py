@@ -10,15 +10,22 @@ I contained in J^{[p^e]}; it is generated by all basis coefficients g_mu of
 all generators of I, because the coefficients of any member of J^{[p^e]}
 lie in J and conversely the decomposition above rebuilds each generator
 from p^e-th powers of its coefficients.
+
+Roots of products J * prod f_i^{N_i} are taken one base-p digit of the N_i
+at a time through (I^[p] K)^[1/p] = I * K^[1/p] (Blickle-Mustata-Smith), so
+the large powers f_i^{N_i} are never expanded.
 """
 
 from __future__ import annotations
 
+from math import prod
+from typing import Iterable
+
 from .groebner import Ideal
 from .newton import MonomialIdeal
-from .ring import Exponent, Polynomial
+from .ring import Exponent, Polynomial, PolyRing
 
-__all__ = ["PeDecomposition", "pe_decompose", "frobenius_root", "monomial_frobenius_root"]
+__all__ = ["PeDecomposition", "pe_decompose", "frobenius_root", "monomial_frobenius_root", "root_of_product"]
 
 
 class PeDecomposition:
@@ -90,6 +97,38 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
                 seen.add(key)
                 gens.append(Polynomial(ring, terms))
     return Ideal(ring, gens)
+
+
+def root_of_product(
+    ring: PolyRing, gens: Iterable[Polynomial], factors: list[tuple[Polynomial, int]], e: int, memo: dict | None = None
+) -> Ideal:
+    """(gens * prod f_i^{N_i})^{[1/p^e]} for ``factors`` = [(f_i, N_i)].
+
+    Writing N_i = sum_k d_{i,k} p^k + p^e M_i, step k multiplies the current
+    ideal by prod f_i^{d_{i,k}} and takes one p-th root; prod f_i^{M_i}
+    multiplies the result from outside the root.  ``memo`` maps a prefix of
+    low digits to the ideal after those steps; it is valid for one fixed
+    ``gens`` and ``factors`` polynomials, whatever the N_i.
+    """
+    if e < 0:
+        raise ValueError("negative Frobenius exponent")
+    p = ring.p
+    memo = {} if memo is None else memo
+    current = Ideal(ring, gens)
+    prefix: tuple = ()
+    for k in range(e):
+        digits = tuple(n // p**k % p for _, n in factors)
+        prefix += (digits,)
+        if prefix not in memo:
+            base = current.generators
+            if any(digits):
+                # a reduced basis keeps the product small; ``gens`` come as given
+                step = prod((f**d for (f, _), d in zip(factors, digits) if d), start=ring.one())
+                base = [g * step for g in (current.groebner_basis() if k else base)]
+            memo[prefix] = frobenius_root(Ideal(ring, base), 1)
+        current = memo[prefix]
+    outside = prod((f ** (n // p**e) for f, n in factors if n >= p**e), start=ring.one())
+    return Ideal(ring, [g * outside for g in current.generators])
 
 
 def monomial_frobenius_root(a: MonomialIdeal, e: int, p: int) -> MonomialIdeal:

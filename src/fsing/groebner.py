@@ -13,7 +13,6 @@ needed.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 from .errors import DegreeGuardError, RingMismatchError
@@ -207,11 +206,11 @@ def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, 
 class Ideal:
     """An ideal of F_p[x_1..x_n] given by generators.
 
-    The reduced Groebner basis is computed lazily, at most once, behind a
-    lock; equality, membership, and printing all go through it.
+    The reduced Groebner basis is computed lazily, at most once; equality,
+    membership, and printing all go through it.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_lock")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -223,7 +222,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._basis: GroebnerBasis | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def unit(cls, ring: PolyRing) -> "Ideal":
@@ -238,15 +236,10 @@ class Ideal:
         max_basis: int = DEFAULT_MAX_BASIS,
         max_degree: int = DEFAULT_MAX_DEGREE,
     ) -> GroebnerBasis:
-        basis = self._basis
-        if basis is None:
-            with self._lock:
-                basis = self._basis
-                if basis is None:
-                    raw = _buchberger(self.ring, self.generators, max_basis, max_degree)
-                    basis = GroebnerBasis(self.ring, _reduce_basis(self.ring, raw))
-                    self._basis = basis
-        return basis
+        if self._basis is None:
+            raw = _buchberger(self.ring, self.generators, max_basis, max_degree)
+            self._basis = GroebnerBasis(self.ring, _reduce_basis(self.ring, raw))
+        return self._basis
 
     # -- predicates ----------------------------------------------------------
 

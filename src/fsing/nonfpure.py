@@ -15,7 +15,9 @@ F^e_* R -> R collapses to this single root because Hom_R(F^e_* R, R) is
 free of rank one over F^e_* R, generated by the projection onto the top
 basis monomial; the divisor twist is absorbed by the f_i powers.  The
 ascending chain for the test ideal is the same picture with exponents
-ceil(t_i p^e) and plain powers of a.
+ceil(t_i p^e) and plain powers of a.  Every such root is taken one base-p
+digit of the f_i exponents at a time (``root_of_product``), so f_i^N is
+never expanded.
 
 Truncating the sum at e_max only shrinks the result, and the step is
 monotone in J, so the truncated limit always sits inside the true ideal;
@@ -38,7 +40,7 @@ from math import lcm, prod
 from typing import Iterable
 
 from .errors import DegreeGuardError, NonconvergenceError
-from .frobenius import frobenius_root
+from .frobenius import root_of_product
 from .groebner import Ideal
 from .newton import (
     MonomialIdeal,
@@ -208,8 +210,8 @@ class _SigmaEngine:
         self.monomial_lane = not triple.divisor.entries and self.a is not None
         self.max_e_used = 0
         self._step_cache: dict = {}
-        self._fpow_cache: dict[int, Polynomial | None] = {}
-        self._closure_cache: dict[int, MonomialIdeal | None] = {}
+        self._roots: dict = {}
+        self._closure_cache: dict[int, MonomialIdeal] = {}
         if self.monomial_lane:
             self._hull = newton_hull(self.a)
             self._amax = tuple(self._hull.coordinate_maximum(i) for i in range(self.ring.nvars))
@@ -258,9 +260,8 @@ class _SigmaEngine:
                         if not any(monomial_divides(h, w) for h in state):
                             return False
             return True
-        elements = state.groebner_basis().elements
         for e in range(lo, hi + 1):
-            term = self._term_generic(elements, e)
+            term = self._term_generic(state, e)
             if not state.contains_ideal(term):
                 return False
         return True
@@ -277,49 +278,29 @@ class _SigmaEngine:
 
     # -- generic lane ---------------------------------------------------------
 
-    def _divisor_power(self, e: int) -> Polynomial | None:
-        if e in self._fpow_cache:
-            return self._fpow_cache[e]
-        q1 = self.p**e - 1
-        product = None
-        for coef, f in self.triple.divisor.entries:
-            n = _ceil_mul(coef, q1)
-            if n:
-                piece = f**n
-                product = piece if product is None else product * piece
-        self._fpow_cache[e] = product
-        return product
+    def _term_generic(self, J: Ideal, e: int) -> Ideal:
+        """(J * prod_i f_i^{ceil(t_i (p^e - 1))} * cl(a^M))^{[1/p^e]}, one base-p
+        digit of each divisor exponent at a time; f^N is never expanded.
 
-    def _closure_power(self, e: int) -> MonomialIdeal | None:
-        if e in self._closure_cache:
-            return self._closure_cache[e]
-        if self.a is None:
-            result = None
-        else:
-            n = _ceil_mul(self.triple.t, self.p**e - 1)
-            result = integral_closure_power(self.a, n)
-        self._closure_cache[e] = result
-        return result
-
-    def _term_generic(self, elements, e: int) -> Ideal:
+        The closure factor is no Frobenius power, so it joins J before the
+        first digit.  Digit prefixes are memoised per (J, closure level): at
+        t = 1 every digit is p - 1 and level e is one root above level e - 1.
+        """
         self.max_e_used = max(self.max_e_used, e)
-        fpow = self._divisor_power(e)
-        apow = self._closure_power(e)
-        gens: list[Polynomial] = []
-        for h in elements:
-            base = h * fpow if fpow is not None else h
-            if apow is not None:
-                for m in apow.generators:
-                    gens.append(base * Polynomial(self.ring, {m: 1}))
-            else:
-                gens.append(base)
-        return frobenius_root(Ideal(self.ring, gens), e)
+        q1 = self.p**e - 1
+        gens = J.groebner_basis().elements
+        if self.a is not None:
+            if e not in self._closure_cache:
+                self._closure_cache[e] = integral_closure_power(self.a, _ceil_mul(self.triple.t, q1))
+            gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in self._closure_cache[e].generators]
+        memo = self._roots.setdefault((J.canonical_key(), e if self.a is not None else None), {})
+        factors = [(f, _ceil_mul(coef, q1)) for coef, f in self.triple.divisor.entries]
+        return root_of_product(self.ring, gens, factors, e, memo)
 
     def _step_generic(self, J: Ideal, es) -> Ideal:
-        elements = J.groebner_basis().elements
         gens: list[Polynomial] = []
         for e in es:
-            gens.extend(self._term_generic(elements, e).generators)
+            gens.extend(self._term_generic(J, e).generators)
         return Ideal(self.ring, gens)
 
     # -- lattice lane -----------------------------------------------------------
@@ -489,16 +470,12 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
     if e0 is None:
         raise ValueError("no Cartier period: p divides a coefficient denominator or the bound is exceeded")
     ring = T.ring
-    p = ring.p
+    memo: dict = {}
 
     def member(l: int) -> Ideal:
         e = l * e0
-        q1 = p**e - 1
-        product = ring.one()
-        for coef, f in T.divisor.entries:
-            exponent = coef * q1
-            product = product * f ** int(exponent)
-        return frobenius_root(Ideal(ring, [product]), e)
+        factors = [(f, int(coef * (ring.p**e - 1))) for coef, f in T.divisor.entries]
+        return root_of_product(ring, [ring.one()], factors, e, memo)
 
     previous = None
     stable = 0
@@ -564,7 +541,8 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     """The stabilized ascending sum of test-ideal summands.
 
     The e-th summand is the p^e-th root of prod f_i^{ceil(t_i p^e)} times
-    the plain power a^{ceil(t p^e)}; the summands themselves ascend
+    the plain power a^{ceil(t p^e)}, taken digit by digit with the power of
+    a folded in before the first digit; the summands themselves ascend
     (ceil(t p^{e+1}) <= p * ceil(t p^e) pushes each term into the next),
     so the sum is capped at R and the loop short-circuits on reaching the
     unit ideal.  Stabilization is declared after a window of no-growth
@@ -578,23 +556,13 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     window = _tau_window(T, opts.window)
     total = Ideal.zero(ring)
     stable = 0
+    memos: dict = {}
     for e in range(1, opts.n_max + 1):
         q = p**e
-        product = None
-        for coef, f in T.divisor.entries:
-            n = _ceil_mul(coef, q)
-            if n:
-                piece = f**n
-                product = piece if product is None else product * piece
-        gens: list[Polynomial] = []
-        if T.a is not None:
-            apow = T.a.power(_ceil_mul(T.t, q))
-            for m in apow.generators:
-                mono = Polynomial(ring, {m: 1})
-                gens.append(mono * product if product is not None else mono)
-        else:
-            gens.append(product if product is not None else ring.one())
-        term = frobenius_root(Ideal(ring, gens), e)
+        factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor.entries]
+        n = _ceil_mul(T.t, q) if T.a is not None else None
+        gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
+        term = root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
         grown = total + term
         if grown == total:
             stable += 1

@@ -50,12 +50,6 @@ class PrimeField:
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
 
-    def normalize(self, c: int) -> int:
-        return c % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inverse(self, a: int) -> int:
         a %= self.p
         if a == 0:

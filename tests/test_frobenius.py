@@ -11,13 +11,17 @@ from fsing import (
     MonomialIdeal,
     PolyRing,
     frobenius_root,
+    integral_closure_power,
     monomial_frobenius_root,
     pe_decompose,
+    root_of_product,
 )
 
 from conftest import monomial_ideal_of, poly_from_dict
 from oracles import (
     monomial_root_oracle,
+    naive_mul,
+    naive_pow,
     random_monomial_gens,
     random_poly_terms,
     root_minimality_certificate,
@@ -125,3 +129,65 @@ class TestFrobeniusRoot:
         R = PolyRing(5, ["x"])
         with pytest.raises(ValueError):
             frobenius_root(Ideal(R, [R.variable(0)]), -1)
+
+
+class TestRootOfProduct:
+    """Digit-by-digit roots against the root of the fully expanded product,
+    expanded with the oracle's naive arithmetic rather than base-p powers."""
+
+    @staticmethod
+    def expanded_root(R, gens, factors, e):
+        product = {(0,) * R.nvars: 1}
+        for f, n in factors:
+            product = naive_mul(product, naive_pow(f.terms, n, R.p, R.nvars), R.p)
+        return frobenius_root(Ideal(R, [g * poly_from_dict(R, product) for g in gens]), e)
+
+    def test_matches_expanded_product(self):
+        rng = random.Random(47)
+        shapes = {"two-entry": 0, "outside": 0, "all digits p - 1": 0, "closure": 0}
+        for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+            R = PolyRing(p, ["x", "y"])
+            q = p**e
+            for trial in range(6):
+                gens = [poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=3, max_exp=4))]
+                if trial % 3 == 0:
+                    a = MonomialIdeal(2, random_monomial_gens(rng, 2, 2, 3))
+                    monos = integral_closure_power(a, rng.randint(1, 3)).generators
+                    gens = [g * R.monomial(m) for g in gens for m in monos]
+                    shapes["closure"] += 1
+                factors = []
+                for _ in range(1 + trial % 2):
+                    f = poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=3, max_exp=2))
+                    factors.append((f, rng.choice([rng.randint(0, q - 1), q - 1, q + rng.randint(0, q)])))
+                shapes["two-entry"] += len(factors) == 2
+                shapes["outside"] += any(n >= q for _, n in factors)
+                shapes["all digits p - 1"] += any(n == q - 1 for _, n in factors)
+                got = root_of_product(R, gens, factors, e)
+                assert got == self.expanded_root(R, gens, factors, e), (p, e, gens, factors)
+        assert all(shapes.values()), shapes
+
+    def test_shared_memo_across_levels(self):
+        # N = p^e - 1 has every digit p - 1, so level e is one root above
+        # level e - 1 through the memo
+        rng = random.Random(48)
+        for p, e_top, entries in [(2, 3, 2), (3, 2, 2), (5, 2, 1)]:
+            R = PolyRing(p, ["x", "y"])
+            for _ in range(3):
+                gens = [poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=2, max_exp=3))]
+                fs = [poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=3, max_exp=2)) for _ in range(entries)]
+                memo: dict = {}
+                for e in range(1, e_top + 1):
+                    factors = [(f, p**e - 1) for f in fs]
+                    assert len(memo) == e - 1
+                    got = root_of_product(R, gens, factors, e, memo)
+                    assert got == self.expanded_root(R, gens, factors, e)
+                # other digits in the same memo must not hit the all-(p - 1) prefixes
+                factors = [(f, rng.randint(0, p**e_top - 2)) for f in fs]
+                got = root_of_product(R, gens, factors, e_top, memo)
+                assert got == self.expanded_root(R, gens, factors, e_top)
+
+    def test_e_zero_is_the_product(self):
+        R = PolyRing(3, ["x", "y"])
+        x, y = R.variable(0), R.variable(1)
+        got = root_of_product(R, [x], [(x + y, 2), (y, 1)], 0)
+        assert got == Ideal(R, [x * (x + y) ** 2 * y])

@@ -27,7 +27,7 @@ def cusp_problem(p: int) -> RestrictionProblem:
 
 
 class TestKnownExample:
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p", [5, 7, 11])
     def test_cusp_against_hyperplane(self, p):
         report = check_restriction(cusp_problem(p))
         R = report.ambient.ring

@@ -84,6 +84,12 @@ class TestCuspChain:
         assert result.iterations <= 3
         assert result.probe_stable
 
+    def test_p13_four_levels(self):
+        # digit-by-digit roots keep p^e = 13^4 (f^28560) within reach
+        result = sigma(cusp_triple(13), SigmaOptions(e_max=4))
+        assert result.ideal == maximal_ideal(result.ideal.ring)
+        assert result.probe_stable
+
     def test_fixed_point(self):
         T = cusp_triple(5)
         result = sigma(T, SigmaOptions(e_max=3))
