@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import DegreeGuardError, NonconvergenceError, ParseError, RingMismatchError
@@ -318,8 +319,14 @@ def _build_ring(args) -> PolyRing:
     return PolyRing(args.prime, _split_vars(args.vars), MonomialOrder(args.order))
 
 
-def _budget_opts(args) -> SigmaOptions:
-    return SigmaOptions(e_max=args.emax, probe=args.probe, n_max=args.nmax, window=args.window)
+# budget flag -> SigmaOptions field
+_BUDGET = (("emax", "e_max"), ("probe", "probe"), ("nmax", "n_max"), ("window", "window"))
+
+
+def _budget_opts(args) -> SigmaOptions | None:
+    """SigmaOptions with every budget flag that was given; None when none was."""
+    given = {field: getattr(args, flag) for flag, field in _BUDGET if getattr(args, flag) is not None}
+    return replace(SigmaOptions(), **given) if given else None
 
 
 def _add_ring_flags(sub, prime: bool = True):
@@ -329,39 +336,34 @@ def _add_ring_flags(sub, prime: bool = True):
     sub.add_argument("--order", choices=("grevlex", "lex"), default="grevlex", help="monomial order")
 
 
-def _add_budget_flags(sub, defaults=(4, 2, 20, 2)):
-    e_max, probe, n_max, window = defaults
-    sub.add_argument("--emax", type=int, default=e_max, help="largest Frobenius level per step")
-    sub.add_argument("--probe", type=int, default=probe, help="extra stability-probe levels")
-    sub.add_argument("--nmax", type=int, default=n_max, help="iteration bound")
-    sub.add_argument("--window", type=int, default=window, help="stable steps required")
+def _add_budget_flags(sub):
+    defaults = SigmaOptions()
+    sub.add_argument("--emax", type=int, default=defaults.e_max, help="largest Frobenius level per step")
+    sub.add_argument("--probe", type=int, default=defaults.probe, help="extra stability-probe levels")
+    sub.add_argument("--nmax", type=int, default=defaults.n_max, help="iteration bound")
+    sub.add_argument("--window", type=int, default=defaults.window, help="stable steps required")
 
 
 def _add_json_flag(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
 
 
-def _addm(sub):
+def _add_triple_command(subs, name: str, summary: str):
+    sub = subs.add_parser(name, help=summary)
+    _add_ring_flags(sub)
     sub.add_argument("--divisor", help="formal divisor, e.g. \"1*(x^3 - y^2)\"")
     sub.add_argument("--ideal", help="monomial ideal, e.g. \"[x^2, y^3]\"")
     sub.add_argument("--t", help="exponent for the monomial ideal (positive rational)")
+    _add_budget_flags(sub)
+    _add_json_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(prog="fsing", description="Frobenius-splitting computations over F_p")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("sigma", help="stabilized descending chain value")
-    _add_ring_flags(sub)
-    _addm(sub)
-    _add_budget_flags(sub)
-    _add_json_flag(sub)
-
-    sub = subs.add_parser("tau", help="stabilized big test ideal")
-    _add_ring_flags(sub)
-    _addm(sub)
-    _add_budget_flags(sub)
-    _add_json_flag(sub)
+    _add_triple_command(subs, "sigma", "stabilized descending chain value")
+    _add_triple_command(subs, "tau", "stabilized big test ideal")
 
     sub = subs.add_parser("froot", help="Frobenius root of an ideal")
     _add_ring_flags(sub)
@@ -394,17 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(sub)
     _add_json_flag(sub)
 
-    sub = subs.add_parser("fpure", help="sharp F-purity of a triple")
-    _add_ring_flags(sub)
-    _addm(sub)
-    _add_budget_flags(sub)
-    _add_json_flag(sub)
-
-    sub = subs.add_parser("fregular", help="strong F-regularity of a triple")
-    _add_ring_flags(sub)
-    _addm(sub)
-    _add_budget_flags(sub)
-    _add_json_flag(sub)
+    _add_triple_command(subs, "fpure", "sharp F-purity of a triple")
+    _add_triple_command(subs, "fregular", "strong F-regularity of a triple")
 
     sub = subs.add_parser("compare-monomial", help="chain value vs Newton formula for a monomial ideal")
     _add_ring_flags(sub)
@@ -417,14 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(sub)
 
     return parser
-
-
-def _emit(args, text_lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _inputs_dict(args, keys: tuple[str, ...]) -> dict:
@@ -454,114 +439,65 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_sigma(args) -> int:
+def _diagnostics(n=None, e_max=None, probe_stable=None) -> dict:
+    return {"n": n, "e_max": e_max, "probe_stable": probe_stable}
+
+
+# Each handler returns (text lines, JSON result, JSON diagnostics).
+
+
+def _cmd_sigma(args):
     ring = _build_ring(args)
-    triple = _triple_from_args(args, ring)
-    result = sigma(triple, _budget_opts(args))
+    result = sigma(_triple_from_args(args, ring), _budget_opts(args))
     lines = [
         f"sigma = {format_ideal(result.ideal)}",
         f"n = {result.iterations}  e_max = {result.e_max_used}  probe_stable = {_yes(result.probe_stable)}",
     ]
-    payload = {
-        "command": "sigma",
-        "inputs": _inputs_dict(args, ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")),
-        "result": {"generators": ideal_generator_strings(result.ideal)},
-        "diagnostics": {
-            "n": result.iterations,
-            "e_max": result.e_max_used,
-            "probe_stable": result.probe_stable,
-        },
-    }
-    _emit(args, lines, payload)
-    return 0
+    return (
+        lines,
+        {"generators": ideal_generator_strings(result.ideal)},
+        _diagnostics(result.iterations, result.e_max_used, result.probe_stable),
+    )
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args):
     ring = _build_ring(args)
-    triple = _triple_from_args(args, ring)
-    ideal = tau_b(triple, _budget_opts(args))
-    lines = [f"tau_b = {format_ideal(ideal)}"]
-    payload = {
-        "command": "tau",
-        "inputs": _inputs_dict(args, ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")),
-        "result": {"generators": ideal_generator_strings(ideal)},
-        "diagnostics": {"n": None, "e_max": None, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+    ideal = tau_b(_triple_from_args(args, ring), _budget_opts(args))
+    return [f"tau_b = {format_ideal(ideal)}"], {"generators": ideal_generator_strings(ideal)}, _diagnostics()
 
 
-def _cmd_froot(args) -> int:
+def _cmd_froot(args):
     ring = _build_ring(args)
     if args.e < 0:
         raise ParseError("--e must be nonnegative")
-    polys = parse_polynomial_list(args.ideal, ring)
-    root = frobenius_root(Ideal(ring, polys), args.e)
-    lines = [f"root = {format_ideal(root)}"]
-    payload = {
-        "command": "froot",
-        "inputs": _inputs_dict(args, ("prime", "vars", "ideal", "e", "order")),
-        "result": {"generators": ideal_generator_strings(root)},
-        "diagnostics": {"n": None, "e_max": args.e, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+    root = frobenius_root(Ideal(ring, parse_polynomial_list(args.ideal, ring)), args.e)
+    return [f"root = {format_ideal(root)}"], {"generators": ideal_generator_strings(root)}, _diagnostics(e_max=args.e)
 
 
-def _cmd_newton(args) -> int:
+def _cmd_newton(args):
     names = _split_vars(args.vars)
     a = parse_monomial_ideal(args.ideal, names)
-    t = parse_rational(args.t)
-    result = newton_ideal(a, t, args.mode)
+    result = newton_ideal(a, parse_rational(args.t), args.mode)
     lines = [f"newton_ideal = {format_monomial_ideal(result, names)}"]
-    payload = {
-        "command": "newton",
-        "inputs": _inputs_dict(args, ("vars", "ideal", "t", "mode")),
-        "result": {"generators": _monomial_strings(result, names)},
-        "diagnostics": {"n": None, "e_max": None, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"generators": _monomial_strings(result, names)}, _diagnostics()
 
 
-def _cmd_lct(args) -> int:
-    names = _split_vars(args.vars)
-    a = parse_monomial_ideal(args.ideal, names)
-    value = lct_monomial(a)
-    lines = [format_fraction(value)]
-    payload = {
-        "command": "lct",
-        "inputs": _inputs_dict(args, ("vars", "ideal")),
-        "result": {"value": format_fraction(value)},
-        "diagnostics": {"n": None, "e_max": None, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+def _cmd_lct(args):
+    value = format_fraction(lct_monomial(parse_monomial_ideal(args.ideal, _split_vars(args.vars))))
+    return [value], {"value": value}, _diagnostics()
 
 
-def _cmd_jumps(args) -> int:
-    names = _split_vars(args.vars)
-    a = parse_monomial_ideal(args.ideal, names)
-    t_max = parse_rational(args.tmax)
-    values = jumping_candidates(a, t_max)
-    body = ", ".join(format_fraction(v) for v in values) if values else "(none)"
-    lines = [f"jumps = {body}"]
-    payload = {
-        "command": "jumps",
-        "inputs": _inputs_dict(args, ("vars", "ideal", "tmax")),
-        "result": {"values": [format_fraction(v) for v in values]},
-        "diagnostics": {"n": None, "e_max": None, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+def _cmd_jumps(args):
+    a = parse_monomial_ideal(args.ideal, _split_vars(args.vars))
+    values = [format_fraction(v) for v in jumping_candidates(a, parse_rational(args.tmax))]
+    return [f"jumps = {', '.join(values) or '(none)'}"], {"values": values}, _diagnostics()
 
 
-def _cmd_restrict_check(args) -> int:
+def _cmd_restrict_check(args):
     ring = _build_ring(args)
     k = ring.var_index(args.hyperplane)
     B = parse_divisor(args.divisor, ring) if args.divisor else QDivisor()
-    problem = RestrictionProblem(ring, k, B, _budget_opts(args))
-    report = check_restriction(problem)
+    report = check_restriction(RestrictionProblem(ring, k, B, _budget_opts(args)))
     verdict = "EQUAL" if report.equal else "MISMATCH"
     lines = [
         f"sigma_ambient = {format_ideal(report.ambient)}",
@@ -569,101 +505,62 @@ def _cmd_restrict_check(args) -> int:
     ]
     if not report.equal:
         lines.append("MISMATCH: the two sides differ; the identity fails here")
-    payload = {
-        "command": "restrict-check",
-        "inputs": _inputs_dict(args, ("prime", "vars", "hyperplane", "divisor", "order", "emax", "probe", "nmax", "window")),
-        "result": {
-            "lhs_generators": ideal_generator_strings(report.lhs),
-            "rhs_generators": ideal_generator_strings(report.rhs),
-            "equal": report.equal,
-        },
-        "diagnostics": {
-            "n": report.lhs_result.iterations,
-            "e_max": report.lhs_result.e_max_used,
-            "probe_stable": report.lhs_result.probe_stable and report.rhs_result.probe_stable,
-        },
+    result = {
+        "lhs_generators": ideal_generator_strings(report.lhs),
+        "rhs_generators": ideal_generator_strings(report.rhs),
+        "equal": report.equal,
     }
-    _emit(args, lines, payload)
-    return 0
+    lhs = report.lhs_result
+    return lines, result, _diagnostics(lhs.iterations, lhs.e_max_used, lhs.probe_stable and report.rhs_result.probe_stable)
 
 
-def _cmd_fpure(args) -> int:
+def _cmd_fpure(args):
     ring = _build_ring(args)
-    triple = _triple_from_args(args, ring)
-    flag = is_sharply_fpure(triple, _budget_opts(args))
-    lines = [f"sharply F-pure: {_yes(flag)}"]
-    payload = {
-        "command": "fpure",
-        "inputs": _inputs_dict(args, ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")),
-        "result": {"fpure": flag},
-        "diagnostics": {"n": None, "e_max": args.emax, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+    flag = is_sharply_fpure(_triple_from_args(args, ring), _budget_opts(args))
+    return [f"sharply F-pure: {_yes(flag)}"], {"fpure": flag}, _diagnostics(e_max=args.emax)
 
 
-def _cmd_fregular(args) -> int:
+def _cmd_fregular(args):
     ring = _build_ring(args)
-    triple = _triple_from_args(args, ring)
-    flag = is_strongly_fregular(triple, _budget_opts(args))
-    lines = [f"strongly F-regular: {_yes(flag)}"]
-    payload = {
-        "command": "fregular",
-        "inputs": _inputs_dict(args, ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")),
-        "result": {"fregular": flag},
-        "diagnostics": {"n": None, "e_max": args.emax, "probe_stable": None},
-    }
-    _emit(args, lines, payload)
-    return 0
+    flag = is_strongly_fregular(_triple_from_args(args, ring), _budget_opts(args))
+    return [f"strongly F-regular: {_yes(flag)}"], {"fregular": flag}, _diagnostics(e_max=args.emax)
 
 
-def _cmd_compare_monomial(args) -> int:
+def _cmd_compare_monomial(args):
     names = _split_vars(args.vars)
     a = parse_monomial_ideal(args.ideal, names)
-    t = parse_rational(args.t)
-    opts = None
-    if any(getattr(args, key) is not None for key in ("emax", "probe", "nmax", "window")):
-        opts = SigmaOptions(
-            e_max=args.emax if args.emax is not None else 4,
-            probe=args.probe if args.probe is not None else 2,
-            n_max=args.nmax if args.nmax is not None else 20,
-            window=args.window if args.window is not None else 2,
-        )
-    report = verify_monomial_theorem(a, t, args.prime, variables=names, opts=opts)
+    report = verify_monomial_theorem(a, parse_rational(args.t), args.prime, variables=names, opts=_budget_opts(args))
     lines = [
         f"sigma = {format_ideal(report.ideal)}",
         f"newton = {format_monomial_ideal(report.newton, names)}",
         f"equal = {_yes(report.equal)}",
     ]
-    payload = {
-        "command": "compare-monomial",
-        "inputs": _inputs_dict(args, ("prime", "vars", "ideal", "t", "order")),
-        "result": {
-            "generators": ideal_generator_strings(report.ideal),
-            "newton_generators": _monomial_strings(report.newton, names),
-            "equal": report.equal,
-        },
-        "diagnostics": {
-            "n": report.sigma_result.iterations,
-            "e_max": report.sigma_result.e_max_used,
-            "probe_stable": report.sigma_result.probe_stable,
-        },
+    result = {
+        "generators": ideal_generator_strings(report.ideal),
+        "newton_generators": _monomial_strings(report.newton, names),
+        "equal": report.equal,
     }
-    _emit(args, lines, payload)
-    return 0
+    chain = report.sigma_result
+    return lines, result, _diagnostics(chain.iterations, chain.e_max_used, chain.probe_stable)
 
 
-_HANDLERS = {
-    "sigma": _cmd_sigma,
-    "tau": _cmd_tau,
-    "froot": _cmd_froot,
-    "newton": _cmd_newton,
-    "lct": _cmd_lct,
-    "jumps": _cmd_jumps,
-    "restrict-check": _cmd_restrict_check,
-    "fpure": _cmd_fpure,
-    "fregular": _cmd_fregular,
-    "compare-monomial": _cmd_compare_monomial,
+_TRIPLE_INPUTS = ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")
+
+# command -> (handler, argument names echoed as JSON inputs)
+_COMMANDS = {
+    "sigma": (_cmd_sigma, _TRIPLE_INPUTS),
+    "tau": (_cmd_tau, _TRIPLE_INPUTS),
+    "froot": (_cmd_froot, ("prime", "vars", "ideal", "e", "order")),
+    "newton": (_cmd_newton, ("vars", "ideal", "t", "mode")),
+    "lct": (_cmd_lct, ("vars", "ideal")),
+    "jumps": (_cmd_jumps, ("vars", "ideal", "tmax")),
+    "restrict-check": (
+        _cmd_restrict_check,
+        ("prime", "vars", "hyperplane", "divisor", "order", "emax", "probe", "nmax", "window"),
+    ),
+    "fpure": (_cmd_fpure, _TRIPLE_INPUTS),
+    "fregular": (_cmd_fregular, _TRIPLE_INPUTS),
+    "compare-monomial": (_cmd_compare_monomial, ("prime", "vars", "ideal", "t", "order")),
 }
 
 
@@ -677,14 +574,21 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits directly for --help
         return 0 if exc.code in (0, None) else 1
+    handler, inputs = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        lines, result, diagnostics = handler(args)
     except (ParseError, _ArgumentError, ValueError, RingMismatchError, RestrictionHypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonconvergenceError, DegreeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        payload = {"command": args.command, "inputs": _inputs_dict(args, inputs), "result": result, "diagnostics": diagnostics}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def main() -> None:

@@ -7,8 +7,8 @@ their reduced bases coincide, so every result in this package is
 reproducible run to run.
 
 Monomial input is recognized and short-circuited: the reduced basis of a
-monomial ideal is the divisibility antichain of its generators, no S-pairs
-needed.
+monomial ideal is the divisibility antichain of its generators, with no
+S-pairs and no tail reduction.
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DegreeGuardError, RingMismatchError
-from .ring import Exponent, Polynomial, PolyRing
+from .ring import Exponent, Polynomial, PolyRing, exponent_antichain, monomial_divides
 
 DEFAULT_MAX_BASIS = 500
 DEFAULT_MAX_DEGREE = 50_000
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
@@ -63,7 +59,7 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") ->
         exp = max(work, key=keyfn)
         c = work.pop(exp)
         for lead, gterms in leads:
-            if _divides(lead, exp):
+            if monomial_divides(lead, exp):
                 shift = _exp_sub(exp, lead)
                 for ge, gc in gterms.items():
                     if ge == lead:
@@ -120,15 +116,6 @@ def _spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-def _monomial_antichain(exponents: Iterable[Exponent]) -> list[Exponent]:
-    ordered = sorted(set(exponents), key=lambda e: (sum(e), e))
-    kept: list[Exponent] = []
-    for e in ordered:
-        if not any(_divides(k, e) for k in kept):
-            kept.append(e)
-    return kept
-
-
 def _buchberger(
     ring: PolyRing,
     generators: Sequence[Polynomial],
@@ -143,7 +130,7 @@ def _buchberger(
     if not seeds:
         return []
     if all(g.is_monomial() for g in seeds):
-        lead = _monomial_antichain(g.leading_exponent() for g in seeds)
+        lead = exponent_antichain(g.leading_exponent() for g in seeds)
         return [Polynomial(ring, {e: 1}) for e in lead]
 
     basis: list[Polynomial] = []
@@ -186,14 +173,17 @@ def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, 
     minimal: list[Polynomial] = []
     for g in ordered:
         le = g.leading_exponent()
-        if not any(_divides(m.leading_exponent(), le) for m in minimal):
+        if not any(monomial_divides(m.leading_exponent(), le) for m in minimal):
             minimal.append(g)
     # tail-reduce to a fixed point; leading terms are untouched (antichain),
-    # and each replacement strictly shrinks the tail in the term order
+    # and each replacement strictly shrinks the tail in the term order.  A
+    # monomial has no tail, so a monomial basis is already reduced.
     changed = True
     while changed:
         changed = False
         for idx in range(len(minimal)):
+            if minimal[idx].is_monomial():
+                continue
             others = minimal[:idx] + minimal[idx + 1 :]
             reduced = normal_form(minimal[idx], others)
             if reduced != minimal[idx]:

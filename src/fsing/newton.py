@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Literal, Sequence
 
 from .errors import DegreeGuardError
-from .ring import Exponent, Polynomial, PolyRing
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
 
 MembershipMode = Literal["closed", "interior"]
 
@@ -29,20 +29,6 @@ MAX_BOX_POINTS = 5_000_000
 def _check_mode(mode: str) -> None:
     if mode not in ("closed", "interior"):
         raise ValueError(f"mode must be 'closed' or 'interior', got {mode!r}")
-
-
-def monomial_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Minimal elements of the up-set generated by ``points``, sorted."""
-    ordered = sorted(set(points), key=lambda e: (sum(e), e))
-    kept: list[Exponent] = []
-    for e in ordered:
-        if not any(monomial_divides(k, e) for k in kept):
-            kept.append(e)
-    return tuple(sorted(kept))
 
 
 class MonomialIdeal:
@@ -287,11 +273,6 @@ def _minimal_points(bounds: Sequence[int], pred) -> list[Exponent]:
     return out
 
 
-def _ceil_frac(num: int, den: int) -> int:
-    # ceil(num / den) for den > 0
-    return -((-num) // den)
-
-
 def _newton_ideal_from_hull(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> MonomialIdeal:
     n = P.nvars
     # every member dominates a member whose i-th coordinate is at most
@@ -300,7 +281,7 @@ def _newton_ideal_from_hull(P: NewtonPolyhedron, t: Fraction, mode: MembershipMo
     bounds = []
     for i in range(n):
         m = P.coordinate_maximum(i)
-        bounds.append(_ceil_frac(t.numerator * m, t.denominator) + 1 if m else 0)
+        bounds.append(ceil_div(t.numerator * m, t.denominator) + 1 if m else 0)
     pts = _minimal_points(bounds, lambda v: member(P, v, t, mode))
     return MonomialIdeal(n, pts)
 
@@ -372,7 +353,7 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
     # value at or below t_max is seen inside the box
     for w, c in P.facets:
         bounds = [
-            _ceil_frac(t_max.numerator * c, t_max.denominator * wi) if wi else 0
+            ceil_div(t_max.numerator * c, t_max.denominator * wi) if wi else 0
             for wi in w
         ]
         _box_guard(bounds)

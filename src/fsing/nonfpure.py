@@ -5,8 +5,8 @@ Q-divisor sum t_i * div(f_i) with positive rational coefficients, and an
 optional monomial ideal a with a positive rational exponent t.
 
 The descending chain starts at R and applies a fixed step until it
-stabilizes; the e-th summand of the step sends an ideal J to the Frobenius
-root
+stabilizes; the step is the sum over levels e = 1..e_max of the Frobenius
+roots
 
     ( J * prod_i f_i^{ceil(t_i (p^e - 1))} * cl(a^{ceil(t (p^e - 1))}) )^{[1/p^e]}
 
@@ -15,54 +15,62 @@ F^e_* R -> R collapses to this single root because Hom_R(F^e_* R, R) is
 free of rank one over F^e_* R, generated by the projection onto the top
 basis monomial; the divisor twist is absorbed by the f_i powers.  The
 ascending chain for the test ideal is the same picture with exponents
-ceil(t_i p^e) and plain powers of a.  Every such root is taken one base-p
-digit of the f_i exponents at a time (``root_of_product``), so f_i^N is
-never expanded.
+ceil(t_i p^e) and plain powers of a.
 
 Truncating the sum at e_max only shrinks the result, and the step is
 monotone in J, so the truncated limit always sits inside the true ideal;
 the probe (recomputing the final step at a few larger e) is a stability
 check that the truncation did not lose anything visible.
 
-Triples whose divisor list is empty and whose a is monomial never leave
-the lattice of monomial ideals: the step is evaluated there by exact
-integer programming against the Newton polyhedron of a (a monomial x^w
-enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in N*P(a) for some
-current generator g, by the usual top-corner argument on up-closed
-exponent sets), avoiding any expansion of closure powers.
+Each level is evaluated by one of two lanes, chosen once per triple:
+
+* the polynomial lane holds ideals of R and takes every root one base-p
+  digit of the f_i exponents at a time (``root_of_product``), so f_i^N is
+  never expanded;
+* the lattice lane serves triples whose divisor list is empty: they never
+  leave the lattice of monomial ideals, held as exponent antichains, and a
+  monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
+  N*P(a) for some current generator g (the usual top-corner argument on
+  up-closed exponent sets), decided by exact integer programming against
+  the Newton polyhedron of a, so no closure power is materialized.
+
+The descending chain, the Cartier chain and the ascending test-ideal sum
+all run on one driver, ``_stabilize``, which iterates until a window of
+consecutive repeats; each caller keeps its own probe and failure message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import DegreeGuardError, NonconvergenceError
 from .frobenius import root_of_product
 from .groebner import Ideal
-from .newton import (
-    MonomialIdeal,
-    exponent_antichain,
-    integral_closure_power,
-    monomial_divides,
-    newton_hull,
-    newton_ideal,
-)
-from .ring import Exponent, Polynomial, PolyRing
+from .newton import MonomialIdeal, integral_closure_power, newton_hull, newton_ideal
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
 
 MAX_PREFIX_POINTS = 2_000_000
+
+_State = TypeVar("_State")
 
 
 def _ceil_mul(t: Fraction, m: int) -> int:
     """ceil(t * m) for t >= 0, m >= 0."""
-    return -((-t.numerator * m) // t.denominator)
+    return ceil_div(t.numerator * m, t.denominator)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0, any sign of a."""
-    return -((-a) // b)
+def _order_mod(p: int, m: int, bound: int) -> int | None:
+    """Least e in [1, bound] with p^e = 1 mod m (1 when m = 1); None if none."""
+    power = 1
+    for e in range(1, bound + 1):
+        power = power * p % m
+        if power == 1 % m:
+            return e
+    return None
 
 
 @dataclass(frozen=True)
@@ -189,96 +197,54 @@ class SigmaResult:
     ideal: Ideal
     iterations: int
     e_max_used: int
-    converged: bool
     probe_stable: bool
 
 
-class _SigmaEngine:
-    """Evaluates the step ideal for one triple, caching per-level data.
+def _stabilize(
+    advance: Callable[[_State, int], _State],
+    x: _State,
+    window: int,
+    n_max: int,
+    failure: str,
+    start: int = 0,
+    stop: Callable[[_State], bool] | None = None,
+) -> tuple[_State, int, int]:
+    """Iterate x_n = advance(x_{n-1}, n) from x_start = ``x`` for n up to
+    ``n_max``, until ``window`` consecutive x_n equal x_{n-1} or ``stop(x_n)``
+    holds.
 
-    Two lanes produce identical ideals: a generic lane through polynomial
-    Frobenius roots, and an integer lattice lane for divisor-free monomial
-    triples that never materializes closure powers.
+    Returns (x_n, n, first), where x_first is the first member of the final
+    run of equal values.  Raises NonconvergenceError(failure) when n_max
+    comes first.
     """
+    stable, first = 0, start
+    for n in range(start + 1, n_max + 1):
+        new = advance(x, n)
+        if new == x:
+            stable += 1
+        else:
+            stable, first = 0, n
+        x = new
+        if stable >= window or (stop is not None and stop(x)):
+            return x, n, first
+    raise NonconvergenceError(failure)
 
-    def __init__(self, triple: Triple, opts: SigmaOptions):
+
+class _PolynomialLane:
+    """States are ideals of R; every level is a digit-by-digit Frobenius root."""
+
+    def __init__(self, triple: Triple):
         self.triple = triple
-        self.opts = opts
         self.ring = triple.ring
-        self.p = self.ring.p
-        self.a = triple.a
-        self.monomial_lane = not triple.divisor.entries and self.a is not None
-        self.max_e_used = 0
-        self._step_cache: dict = {}
+        self.unit = Ideal.unit(self.ring)
         self._roots: dict = {}
-        self._closure_cache: dict[int, MonomialIdeal] = {}
-        if self.monomial_lane:
-            self._hull = newton_hull(self.a)
-            self._amax = tuple(self._hull.coordinate_maximum(i) for i in range(self.ring.nvars))
-
-    # -- shared interface ---------------------------------------------------
-
-    def initial_state(self):
-        if self.monomial_lane:
-            return ((0,) * self.ring.nvars,)
-        return Ideal.unit(self.ring)
-
-    def state_key(self, state):
-        return state if self.monomial_lane else state.canonical_key()
+        self._closure: dict[int, MonomialIdeal] = {}
 
     @staticmethod
-    def states_equal(s1, s2) -> bool:
-        # tuple equality in the lattice lane, reduced-basis equality otherwise
-        return s1 == s2
+    def key(J: Ideal):
+        return J.canonical_key()
 
-    def step(self, state):
-        key = self.state_key(state)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            es = range(1, self.opts.e_max + 1)
-            cached = self._step_monomial(state, es) if self.monomial_lane else self._step_generic(state, es)
-            self._step_cache[key] = cached
-        return cached
-
-    def tail(self, state, e_lo: int, e_hi: int):
-        """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
-        es = range(e_lo, e_hi + 1)
-        if self.monomial_lane:
-            return self._step_monomial(state, es)
-        return self._step_generic(state, es)
-
-    def probe(self, state) -> bool:
-        """True when levels (e_max, e_max + probe] add nothing to ``state``."""
-        if self.opts.probe == 0:
-            return True
-        lo, hi = self.opts.e_max + 1, self.opts.e_max + self.opts.probe
-        if self.monomial_lane:
-            for e in range(lo, hi + 1):
-                self.max_e_used = max(self.max_e_used, e)
-                for g in state:
-                    for w in self._lattice_candidates(g, e):
-                        if not any(monomial_divides(h, w) for h in state):
-                            return False
-            return True
-        for e in range(lo, hi + 1):
-            term = self._term_generic(state, e)
-            if not state.contains_ideal(term):
-                return False
-        return True
-
-    def to_ideal(self, state) -> Ideal:
-        if self.monomial_lane:
-            return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)
-        return state
-
-    def state_is_unit(self, state) -> bool:
-        if self.monomial_lane:
-            return state == ((0,) * self.ring.nvars,)
-        return state.is_unit()
-
-    # -- generic lane ---------------------------------------------------------
-
-    def _term_generic(self, J: Ideal, e: int) -> Ideal:
+    def level(self, J: Ideal, e: int) -> Ideal:
         """(J * prod_i f_i^{ceil(t_i (p^e - 1))} * cl(a^M))^{[1/p^e]}, one base-p
         digit of each divisor exponent at a time; f^N is never expanded.
 
@@ -286,26 +252,60 @@ class _SigmaEngine:
         first digit.  Digit prefixes are memoised per (J, closure level): at
         t = 1 every digit is p - 1 and level e is one root above level e - 1.
         """
-        self.max_e_used = max(self.max_e_used, e)
-        q1 = self.p**e - 1
+        a = self.triple.a
+        q1 = self.ring.p**e - 1
         gens = J.groebner_basis().elements
-        if self.a is not None:
-            if e not in self._closure_cache:
-                self._closure_cache[e] = integral_closure_power(self.a, _ceil_mul(self.triple.t, q1))
-            gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in self._closure_cache[e].generators]
-        memo = self._roots.setdefault((J.canonical_key(), e if self.a is not None else None), {})
-        factors = [(f, _ceil_mul(coef, q1)) for coef, f in self.triple.divisor.entries]
+        if a is not None:
+            if e not in self._closure:
+                self._closure[e] = integral_closure_power(a, _ceil_mul(self.triple.t, q1))
+            gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in self._closure[e].generators]
+        memo = self._roots.setdefault((J.canonical_key(), e if a is not None else None), {})
+        factors = [(f, _ceil_mul(coef, q1)) for coef, f in self.triple.divisor]
         return root_of_product(self.ring, gens, factors, e, memo)
 
-    def _step_generic(self, J: Ideal, es) -> Ideal:
-        gens: list[Polynomial] = []
-        for e in es:
-            gens.extend(self._term_generic(J, e).generators)
-        return Ideal(self.ring, gens)
+    def join(self, levels: Iterable[Ideal]) -> Ideal:
+        return Ideal(self.ring, [g for term in levels for g in term.generators])
 
-    # -- lattice lane -----------------------------------------------------------
+    @staticmethod
+    def contains(J: Ideal, term: Ideal) -> bool:
+        return J.contains_ideal(term)
 
-    def _lattice_candidates(self, g: Exponent, e: int) -> list[Exponent]:
+    @staticmethod
+    def to_ideal(J: Ideal) -> Ideal:
+        return J
+
+
+class _LatticeLane:
+    """States are exponent antichains of monomial ideals, for divisor-free
+    triples; a level is an iterator over exponents covering its minimal
+    generators, so a failing containment stops the walk early."""
+
+    def __init__(self, triple: Triple):
+        self.triple = triple
+        self.ring = triple.ring
+        self.unit = ((0,) * self.ring.nvars,)
+        self._hull = newton_hull(triple.a)
+        self._amax = tuple(self._hull.coordinate_maximum(i) for i in range(self.ring.nvars))
+
+    @staticmethod
+    def key(state: tuple[Exponent, ...]):
+        return state
+
+    def level(self, state: tuple[Exponent, ...], e: int) -> Iterable[Exponent]:
+        return (w for g in state for w in self._candidates(g, e))
+
+    @staticmethod
+    def join(levels: Iterable[Iterable[Exponent]]) -> tuple[Exponent, ...]:
+        return exponent_antichain(chain.from_iterable(levels))
+
+    @staticmethod
+    def contains(state: tuple[Exponent, ...], level: Iterable[Exponent]) -> bool:
+        return all(any(monomial_divides(h, w) for h in state) for w in level)
+
+    def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
+        return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)
+
+    def _candidates(self, g: Exponent, e: int) -> list[Exponent]:
         """Members covering the minimal generators of the e-th root summand of (x^g).
 
         A monomial x^w belongs iff q*w + (q-1)*1 - g lies in N*P(a), with
@@ -314,12 +314,12 @@ class _SigmaEngine:
         generators and closes each fiber with the least feasible last
         coordinate.
         """
-        q = self.p**e
+        q = self.ring.p**e
         n = self.ring.nvars
         N = _ceil_mul(self.triple.t, q - 1)
         base = [q - 1 - gi for gi in g]
-        lb = [max(0, _ceil_div(-b, q)) for b in base]
-        ub = [max(lb[i], _ceil_div(N * self._amax[i] - base[i], q)) for i in range(n)]
+        lb = [max(0, ceil_div(-b, q)) for b in base]
+        ub = [max(lb[i], ceil_div(N * self._amax[i] - base[i], q)) for i in range(n)]
         if prod(ub[i] - lb[i] + 1 for i in range(n - 1)) > MAX_PREFIX_POINTS:
             raise DegreeGuardError("lattice step walk exceeds the configured box cap")
         facets = self._hull.facets
@@ -339,7 +339,7 @@ class _SigmaEngine:
                     if need_total > 0:
                         return
                 else:
-                    need = _ceil_div(need_total, wl * q)
+                    need = ceil_div(need_total, wl * q)
                     if need > wn:
                         wn = need
             point[last] = wn
@@ -356,13 +356,42 @@ class _SigmaEngine:
         walk(0)
         return out
 
-    def _step_monomial(self, state: tuple[Exponent, ...], es) -> tuple[Exponent, ...]:
-        candidates: list[Exponent] = []
-        for e in es:
-            self.max_e_used = max(self.max_e_used, e)
-            for g in state:
-                candidates.extend(self._lattice_candidates(g, e))
-        return exponent_antichain(candidates)
+
+class _SigmaEngine:
+    """The step of the descending chain for one triple, on one lane.
+
+    The lane is the lattice lane for divisor-free triples and the
+    polynomial lane otherwise, unless ``lane`` names one; both give the
+    same ideals.  Steps are cached per state, and ``max_e_used`` records the
+    largest level evaluated.
+    """
+
+    def __init__(self, triple: Triple, opts: SigmaOptions, lane: type | None = None):
+        if lane is None:
+            lane = _LatticeLane if not triple.divisor and triple.a is not None else _PolynomialLane
+        self.lane = lane(triple)
+        self.opts = opts
+        self.max_e_used = 0
+        self._step_cache: dict = {}
+
+    def _level(self, state, e: int):
+        self.max_e_used = max(self.max_e_used, e)
+        return self.lane.level(state, e)
+
+    def tail(self, state, e_lo: int, e_hi: int):
+        """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
+        return self.lane.join(self._level(state, e) for e in range(e_lo, e_hi + 1))
+
+    def step(self, state):
+        key = self.lane.key(state)
+        if key not in self._step_cache:
+            self._step_cache[key] = self.tail(state, 1, self.opts.e_max)
+        return self._step_cache[key]
+
+    def probe(self, state) -> bool:
+        """True when levels (e_max, e_max + probe] add nothing to ``state``."""
+        lo = self.opts.e_max + 1
+        return all(self.lane.contains(state, self._level(state, e)) for e in range(lo, lo + self.opts.probe))
 
 
 def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
@@ -375,31 +404,15 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     """
     opts = opts or SigmaOptions()
     engine = _SigmaEngine(T, opts)
-    state = engine.initial_state()
-    stable = 0
-    iterations = None
-    for n in range(1, opts.n_max + 1):
-        new = engine.step(state)
-        if engine.states_equal(new, state):
-            if iterations is None:
-                iterations = n - 1
-            stable += 1
-        else:
-            iterations = None
-            stable = 0
-        state = new
-        if stable >= opts.window:
-            probe_ok = engine.probe(state)
-            return SigmaResult(
-                ideal=engine.to_ideal(state),
-                iterations=iterations,
-                e_max_used=engine.max_e_used,
-                converged=True,
-                probe_stable=probe_ok,
-            )
-    raise NonconvergenceError(
-        f"chain did not stabilize within {opts.n_max} iterations (window {opts.window})"
+    state, _, first = _stabilize(
+        lambda s, _: engine.step(s),
+        engine.lane.unit,
+        opts.window,
+        opts.n_max,
+        f"chain did not stabilize within {opts.n_max} iterations (window {opts.window})",
     )
+    probe_ok = engine.probe(state)
+    return SigmaResult(engine.lane.to_ideal(state), first, engine.max_e_used, probe_ok)
 
 
 def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -409,12 +422,11 @@ def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     if J.ring != T.ring:
         raise ValueError("ideal and triple live in different rings")
     opts = opts or SigmaOptions()
-    engine = _SigmaEngine(T, opts)
-    if engine.monomial_lane and all(g.is_monomial() for g in J.generators):
-        state = exponent_antichain(g.leading_exponent() for g in J.generators)
-        return engine.to_ideal(engine.step(state))
-    engine.monomial_lane = False
-    return engine.step(J)
+    monomial = all(g.is_monomial() for g in J.generators)
+    engine = _SigmaEngine(T, opts, None if monomial else _PolynomialLane)
+    if isinstance(engine.lane, _LatticeLane):
+        J = exponent_antichain(g.leading_exponent() for g in J.generators)
+    return engine.lane.to_ideal(engine.step(J))
 
 
 def sigma_prime_n(T: Triple, n: int, opts: SigmaOptions | None = None) -> Ideal:
@@ -428,9 +440,15 @@ def sigma_prime_n(T: Triple, n: int, opts: SigmaOptions | None = None) -> Ideal:
         raise ValueError("tail index must be nonnegative")
     opts = opts or SigmaOptions()
     engine = _SigmaEngine(T, opts)
-    state = engine.initial_state()
-    result = engine.tail(state, n, n + opts.e_max)
-    return engine.to_ideal(result) if engine.monomial_lane else result
+    return engine.lane.to_ideal(engine.tail(engine.lane.unit, n, n + opts.e_max))
+
+
+def denominator_lcm(T: Triple) -> int:
+    """lcm of the divisor coefficient denominators and, when a is present, of den(t)."""
+    dens = [coef.denominator for coef, _ in T.divisor]
+    if T.a is not None:
+        dens.append(T.t.denominator)
+    return lcm(*dens)
 
 
 def cartier_period(T: Triple, bound: int = 12) -> int | None:
@@ -441,27 +459,18 @@ def cartier_period(T: Triple, bound: int = 12) -> int | None:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    dens = [coef.denominator for coef, _ in T.divisor.entries]
-    if T.a is not None:
-        dens.append(T.t.denominator)
-    L = lcm(*dens) if dens else 1
-    if L == 1:
-        return 1
+    L = denominator_lcm(T)
     if L % T.ring.p == 0:
         return None
-    power = 1
-    for e in range(1, bound + 1):
-        power = (power * T.ring.p) % L
-        if power == 1:
-            return e
-    return None
+    return _order_mod(T.ring.p, L, bound)
 
 
 def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     """Direct chain for divisor-only triples with a Cartier period e0:
     the n-th member is the p^{n*e0}-th root of prod f_i^{t_i (p^{n*e0} - 1)}
     (integral exponents by the choice of e0), so no inner sum over e is
-    needed.  Stabilization and probe follow the same window semantics.
+    needed.  Stabilization and probe follow the same window semantics; the
+    chain starts at its first member, not at R.
     """
     opts = opts or SigmaOptions()
     if T.a is not None:
@@ -474,67 +483,23 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
 
     def member(l: int) -> Ideal:
         e = l * e0
-        factors = [(f, int(coef * (ring.p**e - 1))) for coef, f in T.divisor.entries]
+        factors = [(f, int(coef * (ring.p**e - 1))) for coef, f in T.divisor]
         return root_of_product(ring, [ring.one()], factors, e, memo)
 
-    previous = None
-    stable = 0
-    iterations = None
-    max_e = 0
-    for l in range(1, opts.n_max + 1):
-        current = member(l)
-        max_e = l * e0
-        if previous is not None and current == previous:
-            if iterations is None:
-                iterations = l - 1
-            stable += 1
-        elif previous is not None:
-            iterations = None
-            stable = 0
-        previous = current
-        if stable >= opts.window:
-            probe_ok = True
-            for lp in range(l + 1, l + 1 + opts.probe):
-                max_e = lp * e0
-                if member(lp) != current:
-                    probe_ok = False
-                    break
-            return SigmaResult(
-                ideal=current,
-                iterations=iterations,
-                e_max_used=max_e,
-                converged=True,
-                probe_stable=probe_ok,
-            )
-    raise NonconvergenceError(
-        f"Cartier chain did not stabilize within {opts.n_max} members (window {opts.window})"
+    current, l, first = _stabilize(
+        lambda _, l: member(l),
+        member(1),
+        opts.window,
+        opts.n_max,
+        f"Cartier chain did not stabilize within {opts.n_max} members (window {opts.window})",
+        start=1,
     )
-
-
-def _tau_window(T: Triple, window: int) -> int:
-    """Stabilization window wide enough to outlast ceiling transients.
-
-    The summand exponents ceil(t p^e) settle into a cycle once p^e clears
-    the p-part of every denominator and e has advanced one full period of
-    p modulo the p-free part; plateaus inside that transient are routine
-    (an exponent just under a threshold stays flat for ~log_p(den) levels
-    before jumping), so the no-growth window must cover it.
-    """
-    p = T.ring.p
-    L = T.t.denominator if T.a is not None else 1
-    for coef, _ in T.divisor.entries:
-        L = lcm(L, coef.denominator)
-    v = 0
-    while L % p == 0:
-        L //= p
-        v += 1
-    period = 1
-    if L > 1:
-        residue = p % L
-        while residue != 1 and period <= L:
-            residue = (residue * p) % L
-            period += 1
-    return max(window, v + period)
+    probe_ok = True
+    for l in range(l + 1, l + 1 + opts.probe):
+        if member(l) != current:
+            probe_ok = False
+            break
+    return SigmaResult(current, first, l * e0, probe_ok)
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -545,37 +510,43 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     a folded in before the first digit; the summands themselves ascend
     (ceil(t p^{e+1}) <= p * ceil(t p^e) pushes each term into the next),
     so the sum is capped at R and the loop short-circuits on reaching the
-    unit ideal.  Stabilization is declared after a window of no-growth
-    levels; the window is widened automatically to cover the ceiling
-    transient of the exponent denominators (see the helper above), and
-    exhausting n_max first raises instead of returning a too-small ideal.
+    unit ideal.  Exhausting n_max first raises instead of returning a
+    too-small ideal.
+
+    Stabilization is declared after a window of no-growth levels, widened
+    to outlast the ceiling transients: the exponents ceil(t p^e) settle
+    into a cycle once p^e clears the p-part p^v of every denominator and e
+    has advanced one full period of p modulo the p-free part; plateaus
+    inside that transient are routine (an exponent just under a threshold
+    stays flat for ~log_p(den) levels before jumping), so the window is at
+    least v plus that period.
     """
     opts = opts or SigmaOptions()
     ring = T.ring
     p = ring.p
-    window = _tau_window(T, opts.window)
-    total = Ideal.zero(ring)
-    stable = 0
+    L, v = denominator_lcm(T), 0
+    while L % p == 0:
+        L //= p
+        v += 1
+    window = max(opts.window, v + _order_mod(p, L, L))
     memos: dict = {}
-    for e in range(1, opts.n_max + 1):
+
+    def grow(total: Ideal, e: int) -> Ideal:
         q = p**e
-        factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor.entries]
+        factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor]
         n = _ceil_mul(T.t, q) if T.a is not None else None
         gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
-        term = root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
-        grown = total + term
-        if grown == total:
-            stable += 1
-        else:
-            stable = 0
-        total = grown
-        if total.is_unit():
-            return total
-        if stable >= window:
-            return total
-    raise NonconvergenceError(
-        f"test-ideal sum did not stabilize within {opts.n_max} levels (window {window})"
+        return total + root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
+
+    total, _, _ = _stabilize(
+        grow,
+        Ideal.zero(ring),
+        window,
+        opts.n_max,
+        f"test-ideal sum did not stabilize within {opts.n_max} levels (window {window})",
+        stop=Ideal.is_unit,
     )
+    return total
 
 
 def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:
@@ -585,9 +556,8 @@ def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:
     means the chain is constant, while step(R) proper traps the whole
     chain inside a proper ideal.
     """
-    opts = opts or SigmaOptions()
-    engine = _SigmaEngine(T, opts)
-    return engine.state_is_unit(engine.step(engine.initial_state()))
+    engine = _SigmaEngine(T, opts or SigmaOptions())
+    return engine.step(engine.lane.unit) == engine.lane.unit
 
 
 def is_strongly_fregular(T: Triple, opts: SigmaOptions | None = None) -> bool:
@@ -604,18 +574,6 @@ class MonomialTheoremReport:
     newton: MonomialIdeal
     sigma_result: SigmaResult
     e_max_final: int
-
-
-def _multiplicative_order(p: int, m: int) -> int:
-    if m == 1:
-        return 1
-    value = p % m
-    power = value
-    for e in range(1, m + 1):
-        if power == 1:
-            return e
-        power = (power * value) % m
-    raise ValueError(f"{p} is not invertible modulo {m}")
 
 
 def verify_monomial_theorem(
@@ -640,7 +598,7 @@ def verify_monomial_theorem(
         raise ValueError("requires a proper nonzero monomial ideal")
     if t.denominator % p == 0:
         raise ValueError("the exponent denominator must be prime to p")
-    e0 = _multiplicative_order(p, t.denominator)
+    e0 = _order_mod(p, t.denominator, t.denominator)
     if variables is None:
         variables = ("x", "y", "z", "w")[: a.nvars] if a.nvars <= 4 else tuple(
             f"x{i+1}" for i in range(a.nvars)

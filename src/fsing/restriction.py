@@ -9,11 +9,10 @@ The comparison requires the coefficient denominators to be prime to p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import FsingError
 from .groebner import Ideal
-from .nonfpure import QDivisor, SigmaOptions, SigmaResult, Triple, sigma
+from .nonfpure import QDivisor, SigmaOptions, SigmaResult, Triple, denominator_lcm, sigma
 from .ring import PolyRing
 
 
@@ -44,16 +43,7 @@ class RestrictionProblem:
         for _, f in self.B.entries:
             if f.ring != self.ring:
                 raise ValueError("divisor entry from a different ring")
-        for _, f in self.B.entries:
-            image = f.substitute_zero(self.k)
-            if image.is_zero():
-                raise RestrictionHypothesisError(
-                    f"divisor entry {f} vanishes on the hyperplane; supports must not share a component"
-                )
-            if image.is_constant():
-                raise RestrictionHypothesisError(
-                    f"divisor entry {f} restricts to a unit on the hyperplane"
-                )
+        different_on_hyperplane(self.B, self.k)
 
 
 @dataclass(eq=False)
@@ -79,9 +69,11 @@ def different_on_hyperplane(B: QDivisor, k: int) -> QDivisor:
     for coef, f in B.entries:
         image = f.substitute_zero(k)
         if image.is_zero():
-            raise RestrictionHypothesisError(f"entry {f} vanishes on the hyperplane")
+            raise RestrictionHypothesisError(
+                f"divisor entry {f} vanishes on the hyperplane; supports must not share a component"
+            )
         if image.is_constant():
-            raise RestrictionHypothesisError(f"entry {f} restricts to a unit")
+            raise RestrictionHypothesisError(f"divisor entry {f} restricts to a unit on the hyperplane")
         entries.append((coef, image.monic()))
     return QDivisor(entries)
 
@@ -96,8 +88,7 @@ def check_restriction(problem: RestrictionProblem) -> RestrictionReport:
     """
     ring = problem.ring
     p = ring.p
-    dens = [coef.denominator for coef, _ in problem.B.entries]
-    index = lcm(*dens) if dens else 1
+    index = denominator_lcm(Triple(ring, problem.B))
     if index % p == 0:
         raise RestrictionHypothesisError(
             f"coefficient denominators must be prime to p = {p} (index {index})"

@@ -21,6 +21,25 @@ _VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 Exponent = tuple[int, ...]
 
 
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0, any sign of a."""
+    return -((-a) // b)
+
+
+def monomial_divides(a: Exponent, b: Exponent) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
+    """Minimal elements of the up-set generated by ``points``, sorted."""
+    ordered = sorted(set(points), key=lambda e: (sum(e), e))
+    kept: list[Exponent] = []
+    for e in ordered:
+        if not any(monomial_divides(k, e) for k in kept):
+            kept.append(e)
+    return tuple(sorted(kept))
+
+
 def _is_prime(n: int) -> bool:
     # deterministic trial division; n <= 2^31 - 1 keeps the bound at 46341
     if n < 2:
@@ -69,53 +88,33 @@ class PrimeField:
 class MonomialOrder:
     """A monomial order on exponent vectors: 'grevlex' (default) or 'lex'.
 
-    ``permutation`` optionally lists variable indices from most significant
-    to least; identity when omitted.  ``key`` maps an exponent vector to a
-    sort key; larger key means larger monomial.
+    ``key`` maps an exponent vector to a sort key; larger key means larger
+    monomial.
     """
 
     KINDS = ("grevlex", "lex")
 
-    __slots__ = ("kind", "permutation")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str = "grevlex", permutation: tuple[int, ...] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {kind!r}; expected one of {self.KINDS}")
         self.kind = kind
-        if permutation is not None:
-            permutation = tuple(permutation)
-            if sorted(permutation) != list(range(len(permutation))):
-                raise ValueError(f"not a permutation of 0..{len(permutation) - 1}: {permutation}")
-        self.permutation = permutation
 
     def key(self, exponent: Exponent):
-        if self.permutation is not None:
-            exponent = tuple(exponent[i] for i in self.permutation)
         if self.kind == "lex":
             return exponent
         # grevlex: compare total degree, then reversed exponents negated
         return (sum(exponent), tuple(-e for e in reversed(exponent)))
 
-    def drop_variable(self, k: int) -> "MonomialOrder":
-        if self.permutation is None:
-            return MonomialOrder(self.kind)
-        reduced = tuple(i if i < k else i - 1 for i in self.permutation if i != k)
-        return MonomialOrder(self.kind, reduced)
-
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialOrder)
-            and other.kind == self.kind
-            and other.permutation == self.permutation
-        )
+        return isinstance(other, MonomialOrder) and other.kind == self.kind
 
     def __hash__(self) -> int:
-        return hash(("MonomialOrder", self.kind, self.permutation))
+        return hash(("MonomialOrder", self.kind))
 
     def __repr__(self) -> str:
-        if self.permutation is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, permutation={self.permutation})"
+        return f"MonomialOrder({self.kind!r})"
 
 
 class PolyRing:
@@ -145,10 +144,8 @@ class PolyRing:
             order = MonomialOrder()
         elif isinstance(order, str):
             order = MonomialOrder(order)
-        if order.permutation is not None and len(order.permutation) != len(names):
-            raise ValueError("order permutation length does not match variable count")
         self.order = order
-        self._struct = (field.p, names, order.kind, order.permutation)
+        self._struct = (field.p, names, order.kind)
 
     @property
     def p(self) -> int:
@@ -212,7 +209,7 @@ class PolyRing:
         if not 0 <= k < self.nvars:
             raise ValueError(f"variable index {k} out of range")
         names = self.variables[:k] + self.variables[k + 1 :]
-        return PolyRing(self.field, names, self.order.drop_variable(k))
+        return PolyRing(self.field, names, self.order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and other._struct == self._struct
@@ -257,10 +254,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        """The residue of the constant term."""
-        return self.terms.get((0,) * self.ring.nvars, 0)
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""

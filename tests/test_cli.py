@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +284,40 @@ class TestDeterminism:
         second = invoke(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """Every ``$ fsing ...`` line of the README's CLI block with the output
+    printed under it, up to the next blank line."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ fsing "):
+            out = []
+            for follow in lines[i + 1 :]:
+                if not follow.strip() or follow.startswith("```"):
+                    break
+                out.append(follow + "\n")
+            examples.append((shlex.split(line)[2:], "".join(out)))
+    return examples
+
+
+# --json output of every subcommand and the stderr of exit-1 and exit-2
+# cases; a difference here is a change to the CLI's output contract
+_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+class TestGoldens:
+    def test_readme_examples(self, capsys):
+        examples = _readme_examples()
+        assert len(examples) == 11
+        assert {argv[0] for argv, _ in examples} == {
+            "sigma", "tau", "froot", "newton", "lct", "jumps",
+            "restrict-check", "fpure", "fregular", "compare-monomial",
+        }
+        for argv, expected in examples:
+            assert invoke(capsys, *argv) == (0, expected, ""), argv
+
+    @pytest.mark.parametrize("case", _GOLDENS, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(_GOLDENS)])
+    def test_recorded(self, case, capsys):
+        assert invoke(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])

@@ -32,6 +32,21 @@ class TestKnownBases:
         basis = [str(g) for g in I.groebner_basis()]
         assert basis == ["y^5", "x^3", "x^2*y"]
 
+    def test_monomial_basis_needs_no_reduction(self, monkeypatch):
+        import fsing.groebner
+
+        calls = []
+        original = fsing.groebner.normal_form
+        monkeypatch.setattr(fsing.groebner, "normal_form", lambda *args: calls.append(args) or original(*args))
+        R = ring_xy()
+        x, y = R.variable(0), R.variable(1)
+        I = Ideal(R, [x**2 * y, x**3, x**2 * y**4, y**5, 2 * x**3 * y])
+        assert [str(g) for g in I.groebner_basis()] == ["y^5", "x^3", "x^2*y"]
+        assert calls == []
+        # monomial only once reduced: Buchberger and tail reduction still run
+        assert str(Ideal(R, [x + y, x - y])) == "(x, y)"
+        assert calls
+
     def test_lex_elimination(self):
         # lex basis of (x - y^2, y^3 - 1) contains the eliminant x*y - 1? no:
         # substitute: x = y^2, y^3 = 1; the pure-y part of the basis is y^3 - 1

@@ -27,7 +27,7 @@ from fsing import (
     verify_monomial_theorem,
 )
 from fsing.errors import NonconvergenceError
-from fsing.nonfpure import _SigmaEngine
+from fsing.nonfpure import _PolynomialLane, _SigmaEngine
 
 from oracles import random_monomial_gens
 
@@ -80,7 +80,6 @@ class TestCuspChain:
         opts = SigmaOptions(e_max=3, probe=1 if p == 11 else 2)
         result = sigma(cusp_triple(p), opts)
         assert result.ideal == maximal_ideal(result.ideal.ring)
-        assert result.converged
         assert result.iterations <= 3
         assert result.probe_stable
 
@@ -159,8 +158,7 @@ class TestLanesAgree:
                 opts = SigmaOptions(e_max=3)
                 J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
                 fast = sigma_step(J, T, opts)
-                forced = _SigmaEngine(T, opts)
-                forced.monomial_lane = False
+                forced = _SigmaEngine(T, opts, _PolynomialLane)
                 assert forced.step(J) == fast
 
     def test_full_chain_cross_check(self, rng):
@@ -173,14 +171,49 @@ class TestLanesAgree:
                 opts = SigmaOptions(e_max=3, probe=1)
                 fast = sigma(T, opts).ideal
                 state = Ideal.unit(R)
-                forced = _SigmaEngine(T, opts)
-                forced.monomial_lane = False
+                forced = _SigmaEngine(T, opts, _PolynomialLane)
                 for _ in range(opts.n_max):
                     new = forced.step(state)
                     if new == state:
                         break
                     state = new
                 assert state == fast
+
+
+class TestDriverSemantics:
+    """Window, iteration and message semantics shared by the three chains."""
+
+    @staticmethod
+    def fields(result):
+        return str(result.ideal), result.iterations, result.e_max_used, result.probe_stable
+
+    def test_cartier_chain_starts_at_member_one(self):
+        # member 1 is already R, but only member 1 against member 2 counts as
+        # a repeat; the descending chain compares step(R) against R itself
+        T = cusp_triple(5, Fraction(1, 2))
+        assert self.fields(sigma_fast_cartier(T)) == ("(1)", 1, 5, True)
+        assert self.fields(sigma(T)) == ("(1)", 0, 6, True)
+
+    def test_window_one_without_probe(self):
+        T = cusp_triple(5, Fraction(5, 6))
+        opts = SigmaOptions(window=1, probe=0)
+        assert self.fields(sigma(T, opts)) == ("(x, y)", 1, 4, True)
+        assert self.fields(sigma_fast_cartier(T, opts)) == ("(x, y)", 1, 4, True)
+
+    def test_nonconvergence_messages(self):
+        # the tau window is widened to 3 by the denominator 100 = 4 * 25
+        cases = [
+            (tau_b, cusp_triple(5, Fraction(79, 100)), SigmaOptions(n_max=2),
+             "test-ideal sum did not stabilize within 2 levels (window 3)"),
+            (sigma, cusp_triple(5), SigmaOptions(n_max=1),
+             "chain did not stabilize within 1 iterations (window 2)"),
+            (sigma_fast_cartier, cusp_triple(5), SigmaOptions(n_max=1),
+             "Cartier chain did not stabilize within 1 members (window 2)"),
+        ]
+        for chain, T, opts, message in cases:
+            with pytest.raises(NonconvergenceError) as exc:
+                chain(T, opts)
+            assert str(exc.value) == message
 
 
 class TestTails:
