@@ -13,19 +13,30 @@ from p^e-th powers of its coefficients.
 
 Roots of products J * prod f_i^{N_i} are taken one base-p digit of the N_i
 at a time through (I^[p] K)^[1/p] = I * K^[1/p] (Blickle-Mustata-Smith), so
-the large powers f_i^{N_i} are never expanded.
+the large powers f_i^{N_i} are never expanded; roots of plain powers a^n of
+monomial ideals are taken the same way on exponent antichains.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import comb, prod
 from typing import Iterable
 
+from .errors import DegreeGuardError
 from .groebner import Ideal
 from .newton import MonomialIdeal
-from .ring import Exponent, Polynomial, PolyRing
+from .ring import Exponent, Polynomial, PolyRing, exponent_antichain
 
-__all__ = ["PeDecomposition", "pe_decompose", "frobenius_root", "monomial_frobenius_root", "root_of_product"]
+__all__ = [
+    "PeDecomposition",
+    "pe_decompose",
+    "frobenius_root",
+    "monomial_frobenius_root",
+    "monomial_power_root",
+    "root_of_product",
+]
+
+MAX_DIGIT_VECTORS = 50_000
 
 
 class PeDecomposition:
@@ -137,3 +148,69 @@ def monomial_frobenius_root(a: MonomialIdeal, e: int, p: int) -> MonomialIdeal:
         raise ValueError("negative Frobenius exponent")
     q = p**e
     return MonomialIdeal(a.nvars, [tuple(x // q for x in g) for g in a.generators])
+
+
+def _digit_vector_count(k: int, p: int, s: int) -> int:
+    """The number of d in [0, p)^k with |d| = s, by inclusion-exclusion."""
+    return sum((-1) ** j * comb(k, j) * comb(s - j * p + k - 1, k - 1) for j in range(k + 1) if s >= j * p)
+
+
+def _digit_products(gens: tuple[Exponent, ...], p: int, s: int) -> tuple[Exponent, ...]:
+    """The distinct d.g = sum_i d_i g_i over d in [0, p)^k with |d| = s < k*p."""
+    out: set[Exponent] = set()
+    last = len(gens) - 1
+
+    def walk(i: int, left: int, acc: Exponent):
+        if i == last:
+            out.add(tuple(x + left * y for x, y in zip(acc, gens[i])))
+            return
+        # the bounds leave every later digit in [0, p)
+        for d in range(max(0, left - (last - i) * (p - 1)), min(p - 1, left) + 1):
+            walk(i + 1, left - d, tuple(x + d * y for x, y in zip(acc, gens[i])))
+
+    walk(0, s, (0,) * len(gens[0]))
+    return tuple(out)
+
+
+def monomial_power_root(a: MonomialIdeal, n: int, e: int, p: int) -> MonomialIdeal:
+    """(a^n)^{[1/p^e]} for a nonzero monomial ideal a = (x^g_1, .., x^g_k),
+    one base-p digit of n at a time; a^n is never expanded.
+
+    Splitting each composition of m into its low digits d in [0, p)^k and
+    the rest gives a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]} over d with
+    |d| = m mod p and |d| <= m, so one p-th root of S * a^m is
+    sum_d (S * x^{d.g})^{[1/p]} * a^{(m - |d|)/p}.  The state maps each
+    exponent m of a to a monomial ideal S_m, held as its antichain; after e
+    digits the root is sum_m S_m * a^m with m about n / p^e, and only those
+    small powers are taken.  Raises DegreeGuardError when one exponent needs
+    more than MAX_DIGIT_VECTORS digit vectors.
+    """
+    if e < 0:
+        raise ValueError("negative Frobenius exponent")
+    if n < 0:
+        raise ValueError("negative ideal power")
+    if a.is_zero():
+        raise ValueError("the root of a plain power needs a nonzero monomial ideal")
+    gens = a.generators
+    k = len(gens)
+    state = {n: ((0,) * a.nvars,)}
+    for _ in range(e):
+        grown: dict[int, set[Exponent]] = {}
+        for m, S in state.items():
+            sums = range(m % p, min(m, k * (p - 1)) + 1, p)
+            count = sum(_digit_vector_count(k, p, s) for s in sums)
+            if count > MAX_DIGIT_VECTORS:
+                raise DegreeGuardError(
+                    f"root of a plain power needs {count} digit vectors, "
+                    f"more than MAX_DIGIT_VECTORS = {MAX_DIGIT_VECTORS}"
+                )
+            for s in sums:
+                products = _digit_products(gens, p, s)
+                grown.setdefault((m - s) // p, set()).update(
+                    tuple((x + y) // p for x, y in zip(h, w)) for h in S for w in products
+                )
+        state = {m: exponent_antichain(points) for m, points in grown.items()}
+    total = MonomialIdeal.zero(a.nvars)
+    for m, S in sorted(state.items()):
+        total = total + MonomialIdeal(a.nvars, S) * a.power(m)
+    return total

@@ -34,6 +34,12 @@ Each level is evaluated by one of two lanes, chosen once per triple:
   up-closed exponent sets), decided by exact integer programming against
   the Newton polyhedron of a, so no closure power is materialized.
 
+The ascending test-ideal sum of a divisor-free triple also stays on
+exponent antichains: its level e is the root (a^n)^{[1/p^e]} of a plain
+power, n = ceil(t p^e), taken one base-p digit of n at a time through
+a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]} over digit vectors d
+(``monomial_power_root``), so a^n is never expanded.
+
 The descending chain, the Cartier chain and the ascending test-ideal sum
 all run on one driver, ``_stabilize``, which iterates until a window of
 consecutive repeats; each caller keeps its own probe and failure message.
@@ -48,7 +54,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, TypeVar
 
 from .errors import DegreeGuardError, NonconvergenceError
-from .frobenius import root_of_product
+from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
 from .newton import MonomialIdeal, integral_closure_power, newton_hull, newton_ideal
 from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
@@ -506,12 +512,16 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     """The stabilized ascending sum of test-ideal summands.
 
     The e-th summand is the p^e-th root of prod f_i^{ceil(t_i p^e)} times
-    the plain power a^{ceil(t p^e)}, taken digit by digit with the power of
-    a folded in before the first digit; the summands themselves ascend
-    (ceil(t p^{e+1}) <= p * ceil(t p^e) pushes each term into the next),
-    so the sum is capped at R and the loop short-circuits on reaching the
-    unit ideal.  Exhausting n_max first raises instead of returning a
-    too-small ideal.
+    the plain power a^{ceil(t p^e)}.  Divisor-free triples stay on monomial
+    ideals, held as exponent antichains: each summand is
+    ``monomial_power_root``, which takes the root one base-p digit of the
+    exponent at a time, so a^{ceil(t p^e)} is never expanded, and the sum
+    becomes an Ideal once at the end.  Otherwise the summand is taken digit
+    by digit with ``root_of_product``, the power of a folded in before the
+    first digit.  The summands themselves ascend (ceil(t p^{e+1}) <=
+    p * ceil(t p^e) pushes each term into the next), so the sum is capped
+    at R and the loop short-circuits on reaching the unit ideal.
+    Exhausting n_max first raises instead of returning a too-small ideal.
 
     Stabilization is declared after a window of no-growth levels, widened
     to outlast the ceiling transients: the exponents ceil(t p^e) settle
@@ -529,24 +539,33 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
         L //= p
         v += 1
     window = max(opts.window, v + _order_mod(p, L, L))
-    memos: dict = {}
 
-    def grow(total: Ideal, e: int) -> Ideal:
-        q = p**e
-        factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor]
-        n = _ceil_mul(T.t, q) if T.a is not None else None
-        gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
-        return total + root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
+    if T.a is not None and not T.divisor:
+        start = MonomialIdeal.zero(ring.nvars)
+
+        def level(e: int) -> MonomialIdeal:
+            return monomial_power_root(T.a, _ceil_mul(T.t, p**e), e, p)
+
+    else:
+        start = Ideal.zero(ring)
+        memos: dict = {}
+
+        def level(e: int) -> Ideal:
+            q = p**e
+            factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor]
+            n = _ceil_mul(T.t, q) if T.a is not None else None
+            gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
+            return root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
 
     total, _, _ = _stabilize(
-        grow,
-        Ideal.zero(ring),
+        lambda total, e: total + level(e),
+        start,
         window,
         opts.n_max,
         f"test-ideal sum did not stabilize within {opts.n_max} levels (window {window})",
-        stop=Ideal.is_unit,
+        stop=lambda total: total.is_unit(),
     )
-    return total
+    return total.to_ideal(ring) if isinstance(total, MonomialIdeal) else total
 
 
 def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsing import MonomialOrder, PolyRing
+from fsing import MonomialIdeal, MonomialOrder, PolyRing, newton_ideal
 from fsing.cli import (
     format_ideal,
+    ideal_generator_strings,
     parse_divisor,
     parse_monomial_ideal,
     parse_polynomial,
@@ -266,6 +272,51 @@ class TestExitCodes:
     def test_missing_required(self, capsys):
         code, _, _ = invoke(capsys, "froot", "--prime", "5", "--vars", "x")
         assert code == 1
+
+    def test_plain_power_digit_cap_is_two(self, capsys):
+        # level 1 of (x*y, x^2)^1 at p = 2^31 - 1 has p - 1 digit vectors
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "tau", "--prime", "2147483647", "--vars", "x,y", "--ideal", "[x*y, x^2]", "--t", "1",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "MAX_DIGIT_VECTORS" in err
+
+
+@st.composite
+def _monomial_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
+    gens = draw(st.lists(exponent, min_size=1, max_size=3))
+    den = draw(st.integers(1, 12))
+    t = Fraction(draw(st.integers(1, 3 * den)), den)
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 2147483647]))
+    return p, gens, t
+
+
+class TestMonomialProperty:
+    """tau and fregular on monomial pairs either answer with the interior
+    Newton ideal (Hara-Yoshida) or stop at a guard with exit code 2."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_monomial_pairs(), st.sampled_from(["tau", "fregular"]))
+    def test_exit_code_and_value(self, pair, command):
+        p, gens, t = pair
+        names = ("x", "y", "z")[: len(gens[0])]
+        ideal = "[" + ", ".join("*".join(f"{v}^{e}" for v, e in zip(names, g) if e) for g in gens) + "]"
+        argv = [command, "--prime", str(p), "--vars", ",".join(names), "--ideal", ideal, "--t", str(t), "--json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            result = json.loads(out.getvalue())["result"]
+            expected = newton_ideal(MonomialIdeal(len(names), gens), t, "interior").to_ideal(PolyRing(p, names))
+            if command == "tau":
+                assert result["generators"] == ideal_generator_strings(expected)
+            else:
+                assert result["fregular"] == expected.is_unit()
 
 
 class TestDeterminism:

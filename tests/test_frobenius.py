@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from fsing import (
+    DegreeGuardError,
     Ideal,
     MonomialIdeal,
     PolyRing,
     frobenius_root,
     integral_closure_power,
     monomial_frobenius_root,
+    monomial_power_root,
     pe_decompose,
     root_of_product,
 )
@@ -191,3 +194,55 @@ class TestRootOfProduct:
         x, y = R.variable(0), R.variable(1)
         got = root_of_product(R, [x], [(x + y, 2), (y, 1)], 0)
         assert got == Ideal(R, [x * (x + y) ** 2 * y])
+
+
+class TestMonomialPowerRoot:
+    """Digit-by-digit roots of plain powers a^n against the floor root of a^n
+    expanded over every composition of n."""
+
+    @staticmethod
+    def expanded_root(gens, n, q):
+        k = len(gens)
+        points = [
+            tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(len(gens[0])))
+            for cs in product(range(n + 1), repeat=k)
+            if sum(cs) == n
+        ]
+        return monomial_root_oracle(points, q)
+
+    def test_matches_expanded_power(self):
+        rng = random.Random(49)
+        shapes = {"n = 0": 0, "0 < n < q": 0, "n = q - 1": 0, "n >= q": 0, "e = 0": 0}
+        gens_seen = set()
+        for p, e in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
+            q = p**e
+            for trial in range(16):
+                nvars = rng.randint(1, 3)
+                a = MonomialIdeal(nvars, random_monomial_gens(rng, nvars, 1 + trial % 4, 5))
+                k = len(a.generators)
+                n = [0, rng.randint(1, max(1, q - 1)), q - 1, q + rng.randint(0, 2 * q)][trial // 4]
+                n = min(n, 12 if k == 4 else 40)
+                shapes["n = 0"] += n == 0
+                shapes["0 < n < q"] += 0 < n < q
+                shapes["n = q - 1"] += n == q - 1
+                shapes["n >= q"] += n >= q
+                shapes["e = 0"] += e == 0
+                gens_seen.add(k)
+                got = monomial_power_root(a, n, e, p)
+                assert got.generators == self.expanded_root(a.generators, n, q), (p, e, n, a)
+        assert all(shapes.values()), shapes
+        assert gens_seen == {1, 2, 3, 4}
+
+    def test_digit_vector_cap(self):
+        # every d with d_1 + d_2 = p is a digit vector of a^p at level 1
+        a = MonomialIdeal(2, [(1, 1), (2, 0)])
+        with pytest.raises(DegreeGuardError, match="MAX_DIGIT_VECTORS"):
+            monomial_power_root(a, 2147483647, 1, 2147483647)
+
+    def test_rejects_bad_input(self):
+        a = MonomialIdeal(1, [(1,)])
+        for n, e in [(-1, 1), (1, -1)]:
+            with pytest.raises(ValueError):
+                monomial_power_root(a, n, e, 5)
+        with pytest.raises(ValueError):
+            monomial_power_root(MonomialIdeal.zero(1), 1, 1, 5)

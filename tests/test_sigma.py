@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,35 @@ class TestTau:
         T = cusp_triple(5)
         with pytest.raises(NonconvergenceError):
             tau_b(T, SigmaOptions(n_max=1))
+
+    def test_hara_yoshida_battery(self):
+        # tau_b of a monomial pair is its interior Newton ideal (Hara-Yoshida),
+        # p-divisible denominators included
+        rng = random.Random(4003)
+        p_divides = 0
+        for _ in range(120):
+            p = rng.choice([2, 3, 5, 7])
+            nvars = rng.randint(1, 3)
+            a = MonomialIdeal(nvars, random_monomial_gens(rng, nvars, rng.randint(1, 3), 5))
+            den = rng.randint(1, 9)
+            t = Fraction(rng.randint(1, 3 * den), den)
+            p_divides += t.denominator % p == 0
+            R = PolyRing(p, ["x", "y", "z"][:nvars])
+            assert tau_b(Triple(R, a=a, t=t)) == newton_ideal(a, t, "interior").to_ideal(R), (p, a, t)
+        assert p_divides >= 10
+
+    def test_three_variable_pins(self):
+        R = PolyRing(7, ["x", "y", "z"])
+        got = tau_b(Triple(R, a=MonomialIdeal(3, [(3, 5, 0), (4, 1, 6)]), t=2))
+        want = [(6, 6, 4), (6, 7, 3), (6, 8, 1), (6, 9, 0), (7, 2, 10), (7, 3, 9), (7, 4, 7), (7, 5, 6)]
+        assert got == MonomialIdeal(3, want).to_ideal(R)
+        # the plain power a^{ceil(t p^e)} is never expanded, so this stays fast
+        R = PolyRing(5, ["x", "y", "z"])
+        a = MonomialIdeal(3, [(1, 2, 0), (4, 0, 4), (0, 4, 1)])
+        start = time.perf_counter()
+        got = tau_b(Triple(R, a=a, t=Fraction(7, 4)))
+        assert time.perf_counter() - start < 1.0
+        assert got == newton_ideal(a, Fraction(7, 4), "interior").to_ideal(R)
 
 
 class TestProperties:
