@@ -19,6 +19,7 @@ malformed input, 2 on nonconvergence or a resource-guard abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -358,6 +359,7 @@ def _add_triple_command(subs, name: str, summary: str):
     _add_json_flag(sub)
 
 
+@functools.cache  # built on the first run, not at import, and reused; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(prog="fsing", description="Frobenius-splitting computations over F_p")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,15 @@
 """Ideals in F_p[x_1..x_n] with decidable membership and equality.
 
-Buchberger's algorithm with the normal selection strategy (lowest lcm first,
-ties broken by generator index) and the coprime-leading-term criterion.  The
-reduced monic Groebner basis is the canonical form: two ideals are equal iff
-their reduced bases coincide, so every result in this package is
-reproducible run to run.
+Buchberger's algorithm with the normal selection strategy: open S-pairs wait
+in a heap keyed by the order key of their lcm, so the lowest lcm comes first,
+ties broken by basis index.  Each element entering the basis goes through the
+Gebauer-Moeller update (Gebauer-Moeller 1988; UPDATE in Becker-Weispfenning),
+which applies the product criterion and the B_k, M and F eliminations, so
+most pairs whose S-polynomial would reduce to zero are never formed.
+``normal_form`` keeps the pending terms in a heap ordered by the monomial
+order and pops the largest one per step.  The reduced monic Groebner basis
+is the canonical form: two ideals are equal iff their reduced bases
+coincide, so every result in this package is reproducible run to run.
 
 Monomial input is recognized and short-circuited: the reduced basis of a
 monomial ideal is the divisibility antichain of its generators, with no
@@ -13,6 +18,8 @@ S-pairs and no tail reduction.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DegreeGuardError, RingMismatchError
@@ -23,63 +30,61 @@ DEFAULT_MAX_DEGREE = 50_000
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def normal_form(f: Polynomial, basis: "GroebnerBasis | Sequence[Polynomial]") -> Polynomial:
+def normal_form(f: Polynomial, basis: "GroebnerBasis") -> Polynomial:
     """Remainder of f under division by a monic basis; zero iff f lies in the ideal.
 
     Every term of the remainder is divisible by no basis leading term, so the
     result is the canonical representative of f modulo the ideal when the
     basis is a Groebner basis.
     """
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else tuple(basis)
-    if not elements:
-        return f
     ring = f.ring
-    for g in elements:
-        if g.ring != ring:
-            raise RingMismatchError("normal_form across different rings")
-    if not f.terms:
+    if basis.ring != ring:
+        raise RingMismatchError("normal_form across different rings")
+    if not basis.elements or not f.terms:
         return f
     p = ring.p
-    keyfn = ring.order.key
-    leads = [(g.leading_exponent(), g.terms) for g in elements]
+    heap_key = ring.order.descending_key
+    reducers = [(lead, [t for t in g.terms.items() if t[0] != lead]) for g in basis for lead in (g.leading_exponent(),)]
     work = dict(f.terms)
-    remainder: dict[Exponent, int] = {}
-    while work:
-        exp = max(work, key=keyfn)
-        c = work.pop(exp)
-        for lead, gterms in leads:
+    pending = [(heap_key(e), e) for e in work]
+    heapify(pending)
+    remainder: dict[Exponent, int] = {}  # filled in descending order
+    while pending:
+        exp = heappop(pending)[1]
+        c = work.pop(exp, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        for lead, tail in reducers:
             if monomial_divides(lead, exp):
                 shift = _exp_sub(exp, lead)
-                for ge, gc in gterms.items():
-                    if ge == lead:
-                        continue
-                    target = _exp_add(ge, shift)
-                    nc = (work.get(target, 0) - c * gc) % p
+                for ge, gc in tail:
+                    target = tuple(map(add, ge, shift))
+                    old = work.get(target)
+                    nc = ((old or 0) - c * gc) % p
                     if nc:
                         work[target] = nc
-                    elif target in work:
+                        if old is None:
+                            heappush(pending, (heap_key(target), target))
+                    elif old is not None:
                         del work[target]
                 break
         else:
             remainder[exp] = c
-    return Polynomial(ring, remainder)
+    return Polynomial(ring, remainder, next(iter(remainder), None))
 
 
 class GroebnerBasis:
-    """A reduced monic Groebner basis, sorted descending by leading monomial.
+    """Monic polynomials of one ring, the divisors of ``normal_form``; immutable.
 
-    Construct through :meth:`Ideal.groebner_basis`; instances are immutable.
+    :meth:`Ideal.groebner_basis` returns the reduced Groebner basis, sorted
+    descending by leading monomial.
     """
 
     __slots__ = ("ring", "elements")
@@ -106,14 +111,37 @@ class GroebnerBasis:
         return f"GroebnerBasis[{', '.join(str(g) for g in self.elements)}]"
 
 
-def _spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    # both monic
-    lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = _exp_lcm(lf, lg)
+def _spolynomial(f: Polynomial, g: Polynomial, lcm: Exponent) -> Polynomial:
+    # both monic, lcm of their leading exponents
     ring = f.ring
-    mf = Polynomial(ring, {_exp_sub(lcm, lf): 1})
-    mg = Polynomial(ring, {_exp_sub(lcm, lg): 1})
+    mf = Polynomial(ring, {_exp_sub(lcm, f.leading_exponent()): 1})
+    mg = Polynomial(ring, {_exp_sub(lcm, g.leading_exponent()): 1})
     return mf * f - mg * g
+
+
+def _gebauer_moller(leads: list[Exponent], active: list[int], pairs: list, keyfn, h: Exponent) -> list[int]:
+    """Enter lead h as element k = len(leads) into the pair heap; return the new active set.
+
+    New pairs (i, k) go when another's lcm divides theirs (M, F; of equal lcms
+    the last stays), then coprime ones (product criterion; they witness the
+    first test).  Old pairs (i, j) go when h divides lcm(i, j) and lcm(i, k),
+    lcm(j, k) both differ from it (B_k).
+    """
+    k = len(leads)
+    leads.append(h)
+    candidates = [(i, _exp_lcm(leads[i], h)) for i in active]
+    kept: list[tuple[int, Exponent]] = []
+    for n, (i, lcm) in enumerate(candidates):
+        coprime = not any(map(min, leads[i], h))
+        if coprime or not any(monomial_divides(m, lcm) for _, m in candidates[n + 1 :] + kept):
+            kept.append((i, lcm))
+    pairs[:] = [
+        (key, i, j, lcm) for key, i, j, lcm in pairs
+        if not monomial_divides(h, lcm) or lcm in (_exp_lcm(leads[i], h), _exp_lcm(leads[j], h))
+    ]
+    pairs.extend((keyfn(lcm), i, k, lcm) for i, lcm in kept if any(map(min, leads[i], h)))
+    heapify(pairs)
+    return [i for i in active if not monomial_divides(h, leads[i])] + [k]
 
 
 def _buchberger(
@@ -134,33 +162,27 @@ def _buchberger(
         return [Polynomial(ring, {e: 1}) for e in lead]
 
     basis: list[Polynomial] = []
-    pairs: list[tuple[int, int]] = []
+    leads: list[Exponent] = []
+    active: list[int] = []
+    pairs: list[tuple] = []  # heap of (order key of lcm, i, j, lcm), i < j
     for g in seeds:
-        pairs.extend((i, len(basis)) for i in range(len(basis)))
         basis.append(g)
-
+        active = _gebauer_moller(leads, active, pairs, keyfn, g.leading_exponent())
     while pairs:
-        best = min(
-            range(len(pairs)),
-            key=lambda k: (keyfn(_exp_lcm(basis[pairs[k][0]].leading_exponent(), basis[pairs[k][1]].leading_exponent())), pairs[k]),
-        )
-        i, j = pairs.pop(best)
-        li, lj = basis[i].leading_exponent(), basis[j].leading_exponent()
-        if _exp_lcm(li, lj) == _exp_add(li, lj):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        remainder = normal_form(_spolynomial(basis[i], basis[j]), basis)
+        _, i, j, lcm = heappop(pairs)
+        reducers = GroebnerBasis(ring, tuple(basis[k] for k in active))
+        remainder = normal_form(_spolynomial(basis[i], basis[j], lcm), reducers)
         if remainder.is_zero():
             continue
         if remainder.total_degree() > max_degree:
             raise DegreeGuardError(
                 f"basis element degree {remainder.total_degree()} exceeds cap {max_degree}"
             )
-        remainder = remainder.monic()
-        pairs.extend((i, len(basis)) for i in range(len(basis)))
-        basis.append(remainder)
-        if len(basis) > max_basis:
+        basis.append(remainder.monic())
+        active = _gebauer_moller(leads, active, pairs, keyfn, basis[-1].leading_exponent())
+        if len(active) > max_basis:
             raise DegreeGuardError(f"basis size exceeds cap {max_basis}")
-    return basis
+    return [basis[k] for k in active]
 
 
 def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
@@ -175,20 +197,12 @@ def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, 
         le = g.leading_exponent()
         if not any(monomial_divides(m.leading_exponent(), le) for m in minimal):
             minimal.append(g)
-    # tail-reduce to a fixed point; leading terms are untouched (antichain),
-    # and each replacement strictly shrinks the tail in the term order.  A
+    # tail-reduce; leading terms are untouched (antichain), so one pass is
+    # enough: a tail reduced against the other leads stays reduced.  A
     # monomial has no tail, so a monomial basis is already reduced.
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            if minimal[idx].is_monomial():
-                continue
-            others = minimal[:idx] + minimal[idx + 1 :]
-            reduced = normal_form(minimal[idx], others)
-            if reduced != minimal[idx]:
-                minimal[idx] = reduced.monic()
-                changed = True
+    for idx, g in enumerate(minimal):
+        if not g.is_monomial():
+            minimal[idx] = normal_form(g, GroebnerBasis(ring, tuple(minimal[:idx] + minimal[idx + 1 :])))
     minimal.sort(key=lambda g: keyfn(g.leading_exponent()), reverse=True)
     return tuple(minimal)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
+from operator import le
 from typing import Iterable, Iterator, Mapping
 
 from .errors import RingMismatchError
@@ -27,7 +28,7 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def monomial_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
@@ -106,6 +107,12 @@ class MonomialOrder:
             return exponent
         # grevlex: compare total degree, then reversed exponents negated
         return (sum(exponent), tuple(-e for e in reversed(exponent)))
+
+    def descending_key(self, exponent: Exponent):
+        """``key`` with every entry negated: a min-heap on it pops the largest monomial first."""
+        if self.kind == "lex":
+            return tuple(-e for e in exponent)
+        return (-sum(exponent), exponent[::-1])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MonomialOrder) and other.kind == self.kind
@@ -229,13 +236,15 @@ class Polynomial:
     keys; equality compares the ring and the terms.
     """
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms", "_key", "_lead")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponent, int]):
-        # trusted constructor: terms already normalized; use ring.from_terms otherwise
+    def __init__(self, ring: PolyRing, terms: dict[Exponent, int], lead: Exponent | None = None):
+        # trusted constructor: normalized terms, and their leading exponent or None
+        # (computed on first use); use ring.from_terms otherwise
         self.ring = ring
         self.terms = terms
         self._key = None
+        self._lead = lead
 
     # -- structure ---------------------------------------------------------
 
@@ -262,9 +271,12 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def leading_exponent(self) -> Exponent:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.order.key)
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            lead = self._lead = max(self.terms, key=self.ring.order.key)
+        return lead
 
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_exponent()]
@@ -277,7 +289,7 @@ class Polynomial:
             return self
         inv = self.ring.field.inverse(lc)
         p = self.ring.p
-        return Polynomial(self.ring, {e: (c * inv) % p for e, c in self.terms.items()})
+        return Polynomial(self.ring, {e: (c * inv) % p for e, c in self.terms.items()}, self._lead)
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in descending monomial order."""

@@ -372,3 +372,20 @@ class TestGoldens:
     @pytest.mark.parametrize("case", _GOLDENS, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(_GOLDENS)])
     def test_recorded(self, case, capsys):
         assert invoke(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # the parser (1 + 10 subcommand parsers) is built on the first run and
+        # reused: a usage error, --help and a valid run all print the same bytes
+        from fsing import cli
+
+        built = []
+        original = cli._ArgParser.__init__
+        monkeypatch.setattr(cli._ArgParser, "__init__", lambda self, *a, **k: built.append(self) or original(self, *a, **k))
+        cli.build_parser.cache_clear()
+        bad = next(c for c in _GOLDENS if c["argv"][-2:] == ["--emax", "two"])
+        good = next(c for c in _GOLDENS if c["argv"][0] == "tau" and c["code"] == 0)
+        assert invoke(capsys, *bad["argv"]) == (bad["code"], bad["stdout"], bad["stderr"])
+        help_out = invoke(capsys, "--help")
+        assert invoke(capsys, *good["argv"]) == (good["code"], good["stdout"], good["stderr"])
+        assert len(built) == 11
+        assert help_out == (0, cli.build_parser.__wrapped__().format_help(), "")

@@ -202,6 +202,74 @@ class TestIdealArithmetic:
         assert Ideal(R, [x]) != Ideal(R, [y])
 
 
+def _random_ideal(rng: random.Random, p: int, order: str) -> tuple[PolyRing, list]:
+    """2-3 generators of mixed degree 2-4 with no constant term, in 2 or 3 variables."""
+    nvars = rng.randint(2, 3)
+    R = PolyRing(p, ["x", "y", "z"][:nvars], MonomialOrder(order))
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        degree = rng.randint(2, 4)
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            e = [0] * nvars
+            for _ in range(rng.randint(1, degree)):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = rng.randint(1, p - 1)
+        gens.append(R.from_terms(terms))
+    return R, gens
+
+
+class TestSympyOracle:
+    """Reduced bases against sympy's, both as sets of monic term dicts with
+    residues in [0, p).  sympy is a local test oracle only."""
+
+    @pytest.mark.parametrize("order", MonomialOrder.KINDS)
+    @pytest.mark.parametrize("p", [2, 3, 7, 32003])
+    def test_reduced_basis_matches_sympy(self, p, order):
+        sympy = pytest.importorskip("sympy")
+
+        def monic(terms, key):
+            inv = pow(terms[max(terms, key=key)], p - 2, p)
+            return frozenset((e, c * inv % p) for e, c in terms.items())
+
+        rng = random.Random(7919 * p + len(order))
+        new_leads = 0
+        for _ in range(16):
+            R, gens = _random_ideal(rng, p, order)
+            ours = {frozenset(g.terms.items()) for g in Ideal(R, gens).groebner_basis()}
+            syms = sympy.symbols(R.variables)
+            exprs = [sum(c * sympy.prod([s**k for s, k in zip(syms, e)]) for e, c in g.terms.items()) for g in gens]
+            theirs = set()
+            for poly in sympy.groebner(exprs, *syms, modulus=p, order=order).polys:
+                terms = {e: r for e, c in poly.terms() if (r := int(c) % p)}
+                theirs.add(monic(terms, R.order.key))
+            assert ours == theirs, [str(g) for g in gens]
+            basis_leads = {g.leading_exponent() for g in Ideal(R, gens).groebner_basis()}
+            new_leads += not basis_leads <= {g.leading_exponent() for g in gens}
+        assert new_leads >= 8  # leading terms that only S-pairs produce
+
+
+class TestPairPruning:
+    def test_cyclic4_normal_form_calls(self, monkeypatch):
+        # S-pair reductions after Gebauer-Moeller pruning plus one
+        # tail-reduction pass: 11 + 7 calls under grevlex, 20 + 6 under lex
+        # (35 + 7 and 73 + 12 when every non-coprime pair is reduced and tail
+        # reduction runs to a fixed point)
+        import fsing.groebner
+
+        calls = []
+        original = fsing.groebner.normal_form
+        monkeypatch.setattr(fsing.groebner, "normal_form", lambda *args: calls.append(args) or original(*args))
+        for order, expected in (("grevlex", 18), ("lex", 26)):
+            R = PolyRing(7, ["x", "y", "z", "w"], MonomialOrder(order))
+            x, y, z, w = (R.variable(i) for i in range(4))
+            cyclic4 = [x + y + z + w, x * y + y * z + z * w + w * x, x * y * z + y * z * w + z * w * x + w * x * y, x * y * z * w - 1]
+            calls.clear()
+            basis = Ideal(R, cyclic4).groebner_basis()
+            assert len(calls) == expected, order
+            assert len(basis) == {"grevlex": 7, "lex": 6}[order]
+
+
 class TestGuards:
     def test_degree_guard_raises(self):
         R = ring_xy()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fsing import MonomialOrder, PolyRing, PrimeField
+from fsing import Ideal, MonomialOrder, PolyRing, PrimeField, normal_form
 from fsing.errors import RingMismatchError
 
 from conftest import poly_from_dict, poly_to_dict
@@ -163,6 +163,29 @@ class TestOrders:
         Rlex = PolyRing(7, ["x", "y"], MonomialOrder("lex"))
         g = Rlex.variable(0) + Rlex.variable(1) ** 3
         assert g.leading_exponent() == (1, 0)
+
+    @pytest.mark.parametrize("kind", MonomialOrder.KINDS)
+    def test_cached_leading_exponent(self, kind):
+        # the lead is cached on first use and handed on by monic() and
+        # normal_form; it must match a fresh max over the terms
+        rng = random.Random(41)
+        R = PolyRing(7, ["x", "y", "z"], kind)
+        key = R.order.key
+        for _ in range(40):
+            f, g = (poly_from_dict(R, random_poly_terms(rng, 3, 7)) for _ in range(2))
+            for h in (f, g):
+                if h.terms:
+                    h.leading_exponent()
+            results = [f * g, f + g, f - g, f.frobenius_power(rng.randint(0, 2)), f * rng.randint(2, 6)]
+            results += [h.monic() for h in (f, g) if h.terms]
+            if g.terms:
+                results.append(normal_form(f, Ideal(R, [g]).groebner_basis()))
+            for h in results:
+                if h.terms:
+                    assert h.leading_exponent() == max(h.terms, key=key)
+                    assert h.leading_exponent() == max(h.terms, key=key)  # cached
+            exps = list(f.terms) + list(g.terms)
+            assert sorted(exps, key=R.order.descending_key) == sorted(exps, key=key, reverse=True)
 
 
 class TestFormatting:

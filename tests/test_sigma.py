@@ -96,6 +96,24 @@ class TestCuspChain:
         assert sigma_step(result.ideal, T, SigmaOptions(e_max=3)) == result.ideal
 
 
+class TestMixedTriple:
+    def test_large_divisor_coefficients_fixed_point(self):
+        # divisor coefficients 6 and 2 at p = 2 plus a^3: with every
+        # non-coprime S-pair reduced, the chain's bases made 10,209
+        # normal_form calls (10,098 zero) in more than 60 s; Gebauer-Moeller
+        # pruning leaves 536, about 0.1 s
+        R = PolyRing(2, ["x", "y"])
+        x, y = R.variable(0), R.variable(1)
+        D = QDivisor([(6, x**2 * y**3 + x + y), (2, x**2 * y**2 + x**2 * y + x * y)])
+        T = Triple(R, D, MonomialIdeal(2, [(0, 2), (1, 1)]), 3)
+        opts = SigmaOptions(e_max=2, probe=1)
+        start = time.perf_counter()
+        result = sigma(T, opts)
+        assert time.perf_counter() - start < 10.0
+        assert (len(result.ideal.groebner_basis()), result.iterations, result.e_max_used, result.probe_stable) == (5, 4, 3, True)
+        assert sigma_step(result.ideal, T, opts) == result.ideal
+
+
 class TestFormalPowerSensitivity:
     @pytest.mark.parametrize("p", [2, 5])
     def test_variable_t_one_is_unit(self, p):
