@@ -10,10 +10,12 @@ class RingMismatchError(FsingError):
 
 
 class DegreeGuardError(FsingError):
-    """A resource guard tripped: Groebner basis degree/size cap or lattice box cap.
+    """A resource guard tripped instead of letting a computation grow without bound.
 
-    Raised instead of letting a computation grow without bound.  The caller
-    can retry with larger limits if the input is trusted.
+    The message names the knob that raises the limit: ``max_degree`` or
+    ``max_basis`` (Groebner bases), ``newton.MAX_BOX_POINTS`` (lattice walks)
+    or ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers).  The caller
+    can retry with a larger limit if the input is trusted.
     """
 
 

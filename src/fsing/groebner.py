@@ -176,12 +176,12 @@ def _buchberger(
             continue
         if remainder.total_degree() > max_degree:
             raise DegreeGuardError(
-                f"basis element degree {remainder.total_degree()} exceeds cap {max_degree}"
+                f"basis element degree {remainder.total_degree()} exceeds cap max_degree = {max_degree}"
             )
         basis.append(remainder.monic())
         active = _gebauer_moller(leads, active, pairs, keyfn, basis[-1].leading_exponent())
         if len(active) > max_basis:
-            raise DegreeGuardError(f"basis size exceeds cap {max_basis}")
+            raise DegreeGuardError(f"basis size exceeds cap max_basis = {max_basis}")
     return [basis[k] for k in active]
 
 

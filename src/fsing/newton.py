@@ -8,15 +8,19 @@ with the coordinate half-spaces u_i >= 0 they cut out the polyhedron.
 
 Membership tests, monomial-ideal extraction, integral-closure powers,
 log-canonical thresholds, and jumping-number candidates all reduce to
-integer comparisons against those facets.
+integer comparisons against those facets.  Newton ideals, closure powers
+and the lattice lane of ``nonfpure`` come from one walker, ``_lattice_walk``,
+which closes each fiber over the first n - 1 coordinates in closed form and
+refuses boxes of more than MAX_BOX_POINTS points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
-from typing import Iterable, Literal, Sequence
+from operator import mul
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import DegreeGuardError
 from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
@@ -240,49 +244,60 @@ def _box_guard(bounds: Sequence[int]) -> None:
         volume *= b + 1
         if volume > MAX_BOX_POINTS:
             raise DegreeGuardError(
-                f"lattice box larger than {MAX_BOX_POINTS} points; refusing to enumerate"
+                f"lattice box larger than MAX_BOX_POINTS = {MAX_BOX_POINTS} points; refusing to enumerate"
             )
 
 
-def _minimal_points(bounds: Sequence[int], pred) -> list[Exponent]:
-    """Minimal lattice points of an up-closed predicate within the box."""
-    _box_guard(bounds)
-    n = len(bounds)
+def _lattice_walk(
+    facets: Iterable[tuple[Exponent, int]],
+    rhs: Callable[[int], int],
+    scale: int,
+    shift: Sequence[int],
+    lb: Sequence[int],
+    ub: Sequence[int],
+) -> list[Exponent]:
+    """Members covering every minimal point of {u >= lb : <w, scale*u + shift> >= rhs(c)
+    for all facets (w, c)}.
+
+    The walk scans the prefix box [lb, ub] over the first n - 1 coordinates
+    (``ub`` has n - 1 entries and must hold every minimal point's prefix)
+    and closes each fiber with the least feasible last coordinate.  The
+    output is not reduced to an antichain.
+    """
+    last = len(shift) - 1
+    _box_guard([hi - lo for lo, hi in zip(lb, ub)])
+    # <w, scale*u + shift> >= r  <=>  scale*w_last*u_last >= gap(prefix)
+    rows = [
+        (tuple(scale * wi for wi in w[:last]), rhs(c) - sum(map(mul, w, shift)), scale * w[last])
+        for w, c in facets
+    ]
     out: list[Exponent] = []
-    point = [0] * n
-
-    def walk(i: int):
-        if i == n:
-            v = tuple(point)
-            if pred(v):
-                for j in range(n):
-                    if v[j]:
-                        point[j] -= 1
-                        below = pred(tuple(point))
-                        point[j] += 1
-                        if below:
-                            return
-                out.append(v)
-            return
-        for value in range(bounds[i] + 1):
-            point[i] = value
-            walk(i + 1)
-        point[i] = 0
-
-    walk(0)
+    for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(lb, ub))):
+        least = lb[last]
+        for coeffs, need, wl in rows:
+            gap = need - sum(map(mul, coeffs, prefix))
+            if wl:
+                least = max(least, -(-gap // wl))
+            elif gap > 0:
+                break
+        else:
+            out.append(prefix + (least,))
     return out
 
 
 def _newton_ideal_from_hull(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> MonomialIdeal:
     n = P.nvars
+    tn, td = t.numerator, t.denominator
     # every member dominates a member whose i-th coordinate is at most
     # ceil(t * max_i) + 1 (cap against a dominated point of t*conv), so the
-    # minimal generators live inside this box
-    bounds = []
-    for i in range(n):
+    # minimal generators live inside this box; td*<w, v + 1> > tn*c is
+    # td*<w, v + 1> >= tn*c + 1 in integers
+    ub = []
+    for i in range(n - 1):
         m = P.coordinate_maximum(i)
-        bounds.append(ceil_div(t.numerator * m, t.denominator) + 1 if m else 0)
-    pts = _minimal_points(bounds, lambda v: member(P, v, t, mode))
+        ub.append(ceil_div(tn * m, td) + 1 if m else 0)
+    extra = 1 if mode == "interior" else 0
+    pts = _lattice_walk(P.facets, lambda c: tn * c + extra, td, [td] * n, [0] * n, ub)
     return MonomialIdeal(n, pts)
 
 
@@ -317,13 +332,9 @@ def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     if a.is_zero():
         return a
     P = newton_hull(a)
-    bounds = [n * P.coordinate_maximum(i) for i in range(a.nvars)]
-    facets = P.facets
-
-    def inside(u: Exponent) -> bool:
-        return all(sum(wi * ui for wi, ui in zip(w, u)) >= n * c for w, c in facets)
-
-    return MonomialIdeal(a.nvars, _minimal_points(bounds, inside))
+    k = a.nvars
+    ub = [n * P.coordinate_maximum(i) for i in range(k - 1)]
+    return MonomialIdeal(k, _lattice_walk(P.facets, lambda c: n * c, 1, [0] * k, [0] * k, ub))
 
 
 def lct_monomial(a: MonomialIdeal) -> Fraction:
@@ -345,7 +356,6 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
     if not a.is_proper():
         raise ValueError("jumping numbers require a proper nonzero monomial ideal")
     P = newton_hull(a)
-    n = a.nvars
     candidates: set[Fraction] = set()
     # per-facet witness boxes: <w, v+1> = t*c <= t_max*c forces
     # w_i*(v_i+1) <= t_max*c when w_i > 0, and coordinates with w_i = 0 do
@@ -357,20 +367,8 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
             for wi in w
         ]
         _box_guard(bounds)
-        point = [0] * n
-
-        def walk(i: int):
-            if i == n:
-                value = Fraction(sum(wi * (x + 1) for wi, x in zip(w, point)), c)
-                if 0 < value <= t_max:
-                    candidates.add(value)
-                return
-            for value in range(bounds[i] + 1):
-                point[i] = value
-                walk(i + 1)
-            point[i] = 0
-
-        walk(0)
+        sums = {sum(wi * (x + 1) for wi, x in zip(w, v)) for v in product(*(range(b + 1) for b in bounds))}
+        candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
     jumps = [
         t
         for t in sorted(candidates)

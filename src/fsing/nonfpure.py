@@ -31,8 +31,9 @@ Each level is evaluated by one of two lanes, chosen once per triple:
   leave the lattice of monomial ideals, held as exponent antichains, and a
   monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
   N*P(a) for some current generator g (the usual top-corner argument on
-  up-closed exponent sets), decided by exact integer programming against
-  the Newton polyhedron of a, so no closure power is materialized.
+  up-closed exponent sets); the minimal such w come from the Newton
+  walker ``newton._lattice_walk`` against the facets of P(a), so no
+  closure power is materialized.
 
 The ascending test-ideal sum of a divisor-free triple also stays on
 exponent antichains: its level e is the root (a^n)^{[1/p^e]} of a plain
@@ -50,16 +51,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Iterable, TypeVar
 
-from .errors import DegreeGuardError, NonconvergenceError
+from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
-from .newton import MonomialIdeal, integral_closure_power, newton_hull, newton_ideal
+from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton_hull, newton_ideal
 from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
-
-MAX_PREFIX_POINTS = 2_000_000
 
 _State = TypeVar("_State")
 
@@ -291,7 +290,7 @@ class _LatticeLane:
         self.ring = triple.ring
         self.unit = ((0,) * self.ring.nvars,)
         self._hull = newton_hull(triple.a)
-        self._amax = tuple(self._hull.coordinate_maximum(i) for i in range(self.ring.nvars))
+        self._prefix_max = [self._hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
 
     @staticmethod
     def key(state: tuple[Exponent, ...]):
@@ -315,52 +314,17 @@ class _LatticeLane:
         """Members covering the minimal generators of the e-th root summand of (x^g).
 
         A monomial x^w belongs iff q*w + (q-1)*1 - g lies in N*P(a), with
-        q = p^e and N = ceil(t(q-1)); the walk scans the first n-1
+        q = p^e and N = ceil(t(q-1)); ``_lattice_walk`` scans the first n-1
         coordinates over a box that provably contains all minimal
         generators and closes each fiber with the least feasible last
         coordinate.
         """
         q = self.ring.p**e
-        n = self.ring.nvars
         N = _ceil_mul(self.triple.t, q - 1)
         base = [q - 1 - gi for gi in g]
         lb = [max(0, ceil_div(-b, q)) for b in base]
-        ub = [max(lb[i], ceil_div(N * self._amax[i] - base[i], q)) for i in range(n)]
-        if prod(ub[i] - lb[i] + 1 for i in range(n - 1)) > MAX_PREFIX_POINTS:
-            raise DegreeGuardError("lattice step walk exceeds the configured box cap")
-        facets = self._hull.facets
-        last = n - 1
-        out: list[Exponent] = []
-        point = [0] * n
-
-        def close_fiber():
-            wn = lb[last]
-            for wf, c in facets:
-                partial = wf[last] * base[last]
-                for j in range(last):
-                    partial += wf[j] * (q * point[j] + base[j])
-                need_total = N * c - partial
-                wl = wf[last]
-                if wl == 0:
-                    if need_total > 0:
-                        return
-                else:
-                    need = ceil_div(need_total, wl * q)
-                    if need > wn:
-                        wn = need
-            point[last] = wn
-            out.append(tuple(point))
-
-        def walk(i: int):
-            if i == last:
-                close_fiber()
-                return
-            for v in range(lb[i], ub[i] + 1):
-                point[i] = v
-                walk(i + 1)
-
-        walk(0)
-        return out
+        ub = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, self._prefix_max, base)]
+        return _lattice_walk(self._hull.facets, lambda c: N * c, q, base, lb, ub)
 
 
 class _SigmaEngine:

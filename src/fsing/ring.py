@@ -9,6 +9,7 @@ object.
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import isqrt
 from operator import le
 from typing import Iterable, Iterator, Mapping
@@ -41,8 +42,10 @@ def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     return tuple(sorted(kept))
 
 
+@cache
 def _is_prime(n: int) -> bool:
-    # deterministic trial division; n <= 2^31 - 1 keeps the bound at 46341
+    # deterministic trial division; n <= 2^31 - 1 keeps the bound at 46341,
+    # memoised because the CLI builds a ring over 2^31 - 1 for every monomial ideal
     if n < 2:
         return False
     if n % 2 == 0:

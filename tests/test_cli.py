@@ -260,6 +260,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_box_guard_is_two(self, capsys):
+        code, _, err = invoke(
+            capsys, "newton", "--vars", "x,y,z,w", "--ideal", "[x^200, y^200, z^200, w^200]", "--t", "1",
+        )
+        assert code == 2
+        assert "MAX_BOX_POINTS" in err
+
     def test_help_is_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0

@@ -275,12 +275,12 @@ class TestGuards:
         R = ring_xy()
         x, y = R.variable(0), R.variable(1)
         I = Ideal(R, [x**3 - y, x * y**2 - 1])
-        with pytest.raises(DegreeGuardError):
+        with pytest.raises(DegreeGuardError, match="max_degree"):
             I.groebner_basis(max_degree=2)
 
     def test_basis_guard_raises(self):
         R = ring_xy()
         x, y = R.variable(0), R.variable(1)
         I = Ideal(R, [x**3 - y, x * y**2 - 1])
-        with pytest.raises(DegreeGuardError):
+        with pytest.raises(DegreeGuardError, match="max_basis"):
             I.groebner_basis(max_basis=2)

@@ -8,6 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import fsing.newton
 from fsing import (
     MonomialIdeal,
     integral_closure_power,
@@ -17,6 +18,7 @@ from fsing import (
     newton_hull,
     newton_ideal,
 )
+from fsing.errors import DegreeGuardError
 
 from oracles import (
     closed_member_oracle,
@@ -140,6 +142,15 @@ class TestNewtonIdeal:
                 got = set(newton_ideal(MonomialIdeal(n, gens), t, mode).generators)
                 expect = set(newton_ideal_oracle(gens, t, mode, box=25))
                 assert got == expect, (gens, t, mode)
+        # three variables walk a two-dimensional prefix; exponents <= 2 and
+        # t <= 2 keep every minimal generator inside the oracle's box of 5
+        for _ in range(8):
+            gens = random_monomial_gens(rng, 3, rng.randint(1, 3), 2)
+            t = min(Fraction(rng.randint(1, 9), rng.randint(1, 6)), Fraction(2))
+            for mode in ("closed", "interior"):
+                got = set(newton_ideal(MonomialIdeal(3, gens), t, mode).generators)
+                expect = set(newton_ideal_oracle(gens, t, mode, box=5))
+                assert got == expect, (gens, t, mode)
 
     def test_monotone_in_t(self, rng):
         for _ in range(8):
@@ -179,6 +190,16 @@ class TestClosurePowers:
                 in_cl = cl.contains(v)
                 in_scaled = all(sum(w[i] * v[i] for i in range(2)) >= n * c for w, c in P.facets)
                 assert in_cl == in_scaled
+        for _ in range(10):
+            gens = random_monomial_gens(rng, 3, 3, 3)
+            a = MonomialIdeal(3, gens)
+            P = newton_hull(a)
+            n = rng.randint(1, 4)
+            cl = integral_closure_power(a, n)
+            for v in iproduct(range(13), repeat=3):
+                in_cl = cl.contains(v)
+                in_scaled = all(sum(w[i] * v[i] for i in range(3)) >= n * c for w, c in P.facets)
+                assert in_cl == in_scaled, (gens, n, v)
 
     def test_idempotent_like(self):
         # closure of the closure adds nothing at the same power
@@ -251,3 +272,29 @@ class TestThresholds:
             below = [r for r in jumping_candidates(a, t) if r < t]
             gap = (t - below[-1]) / 2 if below else t / 2
             assert newton_ideal(a, t, "closed") == newton_ideal(a, t - gap, "interior")
+
+
+class TestBoxGuard:
+    def test_prefix_walk_names_knob(self):
+        # four variables at t = 1 walk a 201^3 prefix, past MAX_BOX_POINTS
+        a = MonomialIdeal(4, [(200, 0, 0, 0), (0, 200, 0, 0), (0, 0, 200, 0), (0, 0, 0, 200)])
+        with pytest.raises(DegreeGuardError, match="MAX_BOX_POINTS"):
+            newton_ideal(a, 1)
+        with pytest.raises(DegreeGuardError, match="MAX_BOX_POINTS"):
+            integral_closure_power(a, 2)
+
+    def test_only_the_prefix_counts(self, monkeypatch):
+        # (x^3, y^3, z^3) at t = 2: v + 1 in 2P means |v| >= 3, and the
+        # prefix box is [0, 7]^2, 64 points
+        a = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        cubics = tuple(sorted(v for v in iproduct(range(4), repeat=3) if sum(v) == 3))
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 64)
+        assert newton_ideal(a, 2).generators == cubics
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 63)
+        with pytest.raises(DegreeGuardError, match="MAX_BOX_POINTS"):
+            newton_ideal(a, 2)
+
+    def test_jumping_witness_box_names_knob(self, monkeypatch):
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 10)
+        with pytest.raises(DegreeGuardError, match="MAX_BOX_POINTS"):
+            jumping_candidates(MonomialIdeal(2, [(2, 0), (0, 3)]), 4)

@@ -8,6 +8,7 @@ import pytest
 
 from fsing import Ideal, MonomialOrder, PolyRing, PrimeField, normal_form
 from fsing.errors import RingMismatchError
+from fsing.ring import _is_prime
 
 from conftest import poly_from_dict, poly_to_dict
 from oracles import naive_add, naive_mul, naive_pow, random_poly_terms
@@ -22,6 +23,14 @@ class TestPrimeField:
         for p in (0, 1, 4, 6, 9, 100, -5):
             with pytest.raises(ValueError):
                 PrimeField(p)
+
+    def test_primality_memoised(self):
+        # the CLI builds a ring over 2^31 - 1 for every monomial ideal it parses
+        PolyRing(2**31 - 1, ["x"])
+        before = _is_prime.cache_info()
+        PolyRing(2**31 - 1, ["x", "y"])
+        after = _is_prime.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):

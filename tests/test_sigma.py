@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import fsing.newton
 from fsing import (
     Ideal,
     MonomialIdeal,
@@ -27,7 +28,7 @@ from fsing import (
     tau_b,
     verify_monomial_theorem,
 )
-from fsing.errors import NonconvergenceError
+from fsing.errors import DegreeGuardError, NonconvergenceError
 from fsing.nonfpure import _PolynomialLane, _SigmaEngine
 
 from oracles import random_monomial_gens
@@ -113,6 +114,20 @@ class TestMixedTriple:
         assert (len(result.ideal.groebner_basis()), result.iterations, result.e_max_used, result.probe_stable) == (5, 4, 3, True)
         assert sigma_step(result.ideal, T, opts) == result.ideal
 
+    @pytest.mark.parametrize("p, e_max", [(5, 3), (7, 2)])
+    def test_closure_rows_decide(self, p, e_max):
+        # 1/2*(x^3 - y^2) with (x^2, y^3)^(1/2): at these levels the closure
+        # factor cl(a^N), N = ceil((p^e - 1)/2), has a full box of more than
+        # MAX_BOX_POINTS points, so only a walk that closes fibers decides it
+        R = PolyRing(p, ["x", "y"])
+        x, y = R.variable(0), R.variable(1)
+        T = Triple(R, QDivisor([(Fraction(1, 2), x**3 - y**2)]), MonomialIdeal(2, [(2, 0), (0, 3)]), Fraction(1, 2))
+        opts = SigmaOptions(e_max=e_max)
+        start = time.perf_counter()
+        result = sigma(T, opts)
+        assert time.perf_counter() - start < 5.0
+        assert sigma_step(result.ideal, T, opts) == result.ideal
+
 
 class TestFormalPowerSensitivity:
     @pytest.mark.parametrize("p", [2, 5])
@@ -179,6 +194,26 @@ class TestLanesAgree:
                 fast = sigma_step(J, T, opts)
                 forced = _SigmaEngine(T, opts, _PolynomialLane)
                 assert forced.step(J) == fast
+        # three variables walk a two-dimensional prefix in both lanes
+        for p in (2, 3):
+            R = PolyRing(p, ["x", "y", "z"])
+            for _ in range(4):
+                gens = random_monomial_gens(rng, 3, 3, 3)
+                t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                T = Triple(R, a=MonomialIdeal(3, gens), t=t)
+                opts = SigmaOptions(e_max=2)
+                J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
+                fast = sigma_step(J, T, opts)
+                forced = _SigmaEngine(T, opts, _PolynomialLane)
+                assert forced.step(J) == fast, (p, gens, t)
+
+    def test_lattice_walk_guard_names_knob(self, monkeypatch):
+        R = PolyRing(5, ["x", "y", "z"])
+        T = Triple(R, a=MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]), t=2)
+        # at e = 1 the lane walks the prefix box [0, 4]^2 from the unit ideal
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 24)
+        with pytest.raises(DegreeGuardError, match="MAX_BOX_POINTS"):
+            sigma(T, SigmaOptions(e_max=1))
 
     def test_full_chain_cross_check(self, rng):
         for p in (2, 3):
