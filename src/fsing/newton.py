@@ -1,17 +1,17 @@
 """Monomial ideals and their Newton polyhedra, in exact arithmetic.
 
 The Newton polyhedron of a monomial ideal a is the convex hull of the
-exponents of a plus the nonnegative orthant.  Facets are found by exact
-rational elimination over all candidate support sets, then stored as
-primitive integer inequalities <w, u> >= c with w >= 0, c > 0; together
-with the coordinate half-spaces u_i >= 0 they cut out the polyhedron.
+exponents of a plus the nonnegative orthant.  Facets are found with
+integer determinants over all candidate support sets, once per ideal
+object, and stored as primitive integer inequalities <w, u> >= c with
+w >= 0, c > 0; with the coordinate half-spaces u_i >= 0 they cut out P.
 
 Membership tests, monomial-ideal extraction, integral-closure powers,
 log-canonical thresholds, and jumping-number candidates all reduce to
 integer comparisons against those facets.  Newton ideals, closure powers
 and the lattice lane of ``nonfpure`` come from one walker, ``_lattice_walk``,
-which closes each fiber over the first n - 1 coordinates in closed form and
-refuses boxes of more than MAX_BOX_POINTS points.
+on integer rows <w, u> >= r; it closes each fiber over the first n - 1
+coordinates in closed form and refuses boxes past MAX_BOX_POINTS points.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import DegreeGuardError
 from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
@@ -40,10 +40,10 @@ class MonomialIdeal:
 
     Immutable and hashable; the antichain is the canonical form, so equality
     is tuple equality.  The unit ideal is ((0,..,0),); the zero ideal has no
-    generators.
+    generators.  ``newton_hull`` keeps the hull in ``_hull``, per object.
     """
 
-    __slots__ = ("nvars", "generators")
+    __slots__ = ("nvars", "generators", "_hull")
 
     def __init__(self, nvars: int, exponents: Iterable[Exponent] = ()):
         pts = []
@@ -54,6 +54,7 @@ class MonomialIdeal:
             pts.append(e)
         self.nvars = nvars
         self.generators = exponent_antichain(pts)
+        self._hull: NewtonPolyhedron | None = None
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
@@ -129,22 +130,23 @@ class MonomialIdeal:
 # -- exact hull -----------------------------------------------------------------
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system; None if singular."""
-    n = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; a zero pivot swaps in a lower row."""
+    m = [row[:] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 class NewtonPolyhedron:
@@ -170,47 +172,41 @@ class NewtonPolyhedron:
 
 
 def newton_hull(a: MonomialIdeal) -> NewtonPolyhedron:
-    """Exact facet description of P(a); requires a proper.
+    """Exact facet description of P(a), kept on ``a``; requires a proper.
 
     Every non-coordinate facet has a supporting hyperplane <w, u> = c with
     w >= 0, c > 0 whose affine span is fixed by some k generators it passes
     through together with n-k coordinate directions it contains; enumerating
-    those supports, solving exactly, and keeping the valid inequalities
-    yields all facets (duplicates collapse in the final set).
+    those supports, solving <w, s> = 1 over them by Cramer's rule in integer
+    determinants, and keeping the valid inequalities yields all facets
+    (duplicates collapse in the final set).
     """
+    if a._hull is not None:
+        return a._hull
     if not a.is_proper():
         raise ValueError("Newton polyhedron requires a proper nonzero monomial ideal")
     n = a.nvars
     pts = a.generators
     found: set[tuple[Exponent, int]] = set()
     coords = range(n)
-    one = Fraction(1)
     for k in range(1, n + 1):
         for support in combinations(pts, k):
-            for free in combinations(coords, n - k):
-                unknown = [i for i in coords if i not in free]
-                rows = [[Fraction(s[i]) for i in unknown] for s in support]
-                sol = _solve_square(rows, [one] * k)
-                if sol is None:
+            for unknown in combinations(coords, k):
+                rows = [[s[i] for i in unknown] for s in support]
+                c = _det(rows)
+                if not c:
                     continue
-                if any(v < 0 for v in sol):
-                    continue
-                w_frac = [Fraction(0)] * n
-                for i, v in zip(unknown, sol):
-                    w_frac[i] = v
-                if all(sum(wi * si for wi, si in zip(w_frac, p)) >= 1 for p in pts):
-                    scale = 1
-                    for v in w_frac:
-                        scale = scale * v.denominator // gcd(scale, v.denominator)
-                    w_int = [int(v * scale) for v in w_frac]
-                    g = scale
-                    for v in w_int:
-                        g = gcd(g, v)
-                    w = tuple(v // g for v in w_int)
-                    c = scale // g
-                    if any(w):
-                        found.add((w, c))
-    return NewtonPolyhedron(n, pts, tuple(sorted(found)))
+                # Cramer: w_i = det(rows with column i set to 1) / c
+                w = [0] * n
+                for col, i in enumerate(unknown):
+                    w[i] = _det([row[:col] + [1] + row[col + 1 :] for row in rows])
+                if c < 0:
+                    c, w = -c, [-v for v in w]
+                if min(w) >= 0 and all(sum(map(mul, w, q)) >= c for q in pts):
+                    g = gcd(c, *w)
+                    found.add((tuple(v // g for v in w), c // g))
+    a._hull = NewtonPolyhedron(n, pts, tuple(sorted(found)))
+    return a._hull
 
 
 def member(P: NewtonPolyhedron, v: Exponent, t: Fraction | int = 1, mode: MembershipMode = "closed") -> bool:
@@ -248,33 +244,23 @@ def _box_guard(bounds: Sequence[int]) -> None:
             )
 
 
-def _lattice_walk(
-    facets: Iterable[tuple[Exponent, int]],
-    rhs: Callable[[int], int],
-    scale: int,
-    shift: Sequence[int],
-    lb: Sequence[int],
-    ub: Sequence[int],
-) -> list[Exponent]:
-    """Members covering every minimal point of {u >= lb : <w, scale*u + shift> >= rhs(c)
-    for all facets (w, c)}.
+def _lattice_walk(rows: Iterable[tuple[Exponent, int]], lb: Sequence[int], ub: Sequence[int]) -> list[Exponent]:
+    """Members covering every minimal point of {u >= lb : <w, u> >= r for all
+    rows (w, r)}.
 
     The walk scans the prefix box [lb, ub] over the first n - 1 coordinates
     (``ub`` has n - 1 entries and must hold every minimal point's prefix)
     and closes each fiber with the least feasible last coordinate.  The
-    output is not reduced to an antichain.
+    output is not reduced to an antichain; walks of one row set over one box
+    list equal sets exactly when they list equal sequences.
     """
-    last = len(shift) - 1
+    last = len(lb) - 1
     _box_guard([hi - lo for lo, hi in zip(lb, ub)])
-    # <w, scale*u + shift> >= r  <=>  scale*w_last*u_last >= gap(prefix)
-    rows = [
-        (tuple(scale * wi for wi in w[:last]), rhs(c) - sum(map(mul, w, shift)), scale * w[last])
-        for w, c in facets
-    ]
+    split = [(w[:last], r, w[last]) for w, r in rows]
     out: list[Exponent] = []
     for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(lb, ub))):
         least = lb[last]
-        for coeffs, need, wl in rows:
+        for coeffs, need, wl in split:
             gap = need - sum(map(mul, coeffs, prefix))
             if wl:
                 least = max(least, -(-gap // wl))
@@ -285,20 +271,18 @@ def _lattice_walk(
     return out
 
 
-def _newton_ideal_from_hull(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> MonomialIdeal:
+def _newton_walk(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> list[Exponent]:
     n = P.nvars
     tn, td = t.numerator, t.denominator
     # every member dominates a member whose i-th coordinate is at most
     # ceil(t * max_i) + 1 (cap against a dominated point of t*conv), so the
     # minimal generators live inside this box; td*<w, v + 1> > tn*c is
-    # td*<w, v + 1> >= tn*c + 1 in integers
-    ub = []
-    for i in range(n - 1):
-        m = P.coordinate_maximum(i)
-        ub.append(ceil_div(tn * m, td) + 1 if m else 0)
+    # td*<w, v + 1> >= tn*c + 1 in integers, that is
+    # <w, v> >= ceil((tn*c + extra)/td) - |w|
+    ub = [ceil_div(tn * m, td) + 1 if m else 0 for m in map(P.coordinate_maximum, range(n - 1))]
     extra = 1 if mode == "interior" else 0
-    pts = _lattice_walk(P.facets, lambda c: tn * c + extra, td, [td] * n, [0] * n, ub)
-    return MonomialIdeal(n, pts)
+    rows = [(w, ceil_div(tn * c + extra, td) - sum(w)) for w, c in P.facets]
+    return _lattice_walk(rows, [0] * n, ub)
 
 
 def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "closed") -> MonomialIdeal:
@@ -316,7 +300,7 @@ def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "cl
         return a  # P is the whole orthant; every v + 1 is interior
     if a.is_zero():
         return a  # P is empty
-    return _newton_ideal_from_hull(newton_hull(a), t, mode)
+    return MonomialIdeal(a.nvars, _newton_walk(newton_hull(a), t, mode))
 
 
 def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -334,7 +318,7 @@ def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     P = newton_hull(a)
     k = a.nvars
     ub = [n * P.coordinate_maximum(i) for i in range(k - 1)]
-    return MonomialIdeal(k, _lattice_walk(P.facets, lambda c: n * c, 1, [0] * k, [0] * k, ub))
+    return MonomialIdeal(k, _lattice_walk([(w, n * c) for w, c in P.facets], [0] * k, ub))
 
 
 def lct_monomial(a: MonomialIdeal) -> Fraction:
@@ -348,7 +332,8 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
     actually change the interior ideal.
 
     A value t is critical when some v + 1 lies on a scaled facet; it is a
-    jump exactly when the closed and interior ideals at t differ.
+    jump exactly when the closed and interior ideals at t differ, that is,
+    when their walks (same box, same prefix order) list different points.
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
@@ -369,9 +354,4 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
         _box_guard(bounds)
         sums = {sum(wi * (x + 1) for wi, x in zip(w, v)) for v in product(*(range(b + 1) for b in bounds))}
         candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
-    jumps = [
-        t
-        for t in sorted(candidates)
-        if _newton_ideal_from_hull(P, t, "closed") != _newton_ideal_from_hull(P, t, "interior")
-    ]
-    return tuple(jumps)
+    return tuple(t for t in sorted(candidates) if _newton_walk(P, t, "closed") != _newton_walk(P, t, "interior"))

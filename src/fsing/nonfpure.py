@@ -31,9 +31,10 @@ Each level is evaluated by one of two lanes, chosen once per triple:
   leave the lattice of monomial ideals, held as exponent antichains, and a
   monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
   N*P(a) for some current generator g (the usual top-corner argument on
-  up-closed exponent sets); the minimal such w come from the Newton
-  walker ``newton._lattice_walk`` against the facets of P(a), so no
-  closure power is materialized.
+  up-closed exponent sets).  That is a region cut out by integer rows
+  against the facets of P(a); a level is a set of region keys, which recur
+  across generators and levels, and each minimal key is walked once per
+  triple by ``newton._lattice_walk``, so no closure power is materialized.
 
 The ascending test-ideal sum of a divisor-free triple also stays on
 exponent antichains: its level e is the root (a^n)^{[1/p^e]} of a plain
@@ -52,7 +53,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, TypeVar
+from operator import mul
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
@@ -61,6 +63,7 @@ from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton
 from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
 
 _State = TypeVar("_State")
+_Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
 
 
 def _ceil_mul(t: Fraction, m: int) -> int:
@@ -282,49 +285,63 @@ class _PolynomialLane:
 
 class _LatticeLane:
     """States are exponent antichains of monomial ideals, for divisor-free
-    triples; a level is an iterator over exponents covering its minimal
-    generators, so a failing containment stops the walk early."""
+    triples; a level is a set of regions, each walked once per lane.
+
+    x^u is in the e-th root summand of (x^g) iff q*u + (q-1)*1 - g lies in
+    N*P(a) (q = p^e, N = ceil(t(q-1))), iff u >= lb and <v, u> >= r_v for
+    every facet (v, c), with lb_i = max(0, ceil((g_i - q + 1)/q)) and
+    r_v = ceil((N*c - <v, (q-1)*1 - g>)/q).  The key (lb, r) fixes the
+    region whatever e is; a key that dominates another has a region inside
+    the other's, so only minimal keys are walked, each over the prefix box
+    of the first g that produced it.
+    """
 
     def __init__(self, triple: Triple):
         self.triple = triple
         self.ring = triple.ring
         self.unit = ((0,) * self.ring.nvars,)
-        self._hull = newton_hull(triple.a)
-        self._prefix_max = [self._hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
+        hull = newton_hull(triple.a)
+        self._facets = hull.facets
+        self._prefix_max = [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
+        self._walks: dict[tuple[int, ...], list[Exponent]] = {}
 
     @staticmethod
     def key(state: tuple[Exponent, ...]):
         return state
 
-    def level(self, state: tuple[Exponent, ...], e: int) -> Iterable[Exponent]:
-        return (w for g in state for w in self._candidates(g, e))
+    def level(self, state: tuple[Exponent, ...], e: int) -> _Regions:
+        """The region keys of level e from ``state``, each with its prefix box."""
+        q = self.ring.p**e
+        N = _ceil_mul(self.triple.t, q - 1)
+        regions: _Regions = {}
+        for g in state:
+            base = [q - 1 - gi for gi in g]
+            lb = [max(0, ceil_div(-b, q)) for b in base]
+            key = (*lb, *(ceil_div(N * c - sum(map(mul, v, base)), q) for v, c in self._facets))
+            if key not in regions:
+                regions[key] = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, self._prefix_max, base)]
+        return regions
 
-    @staticmethod
-    def join(levels: Iterable[Iterable[Exponent]]) -> tuple[Exponent, ...]:
-        return exponent_antichain(chain.from_iterable(levels))
+    def _points(self, levels: Iterable[_Regions]) -> Iterator[list[Exponent]]:
+        """Walks of the minimal region keys over ``levels``, lazily, each memoised."""
+        boxes: _Regions = {}
+        for regions in levels:
+            for key, box in regions.items():
+                boxes.setdefault(key, box)
+        n = self.ring.nvars
+        for key in exponent_antichain(boxes):
+            if key not in self._walks:
+                self._walks[key] = _lattice_walk(zip((v for v, _ in self._facets), key[n:]), key[:n], boxes[key])
+            yield self._walks[key]
 
-    @staticmethod
-    def contains(state: tuple[Exponent, ...], level: Iterable[Exponent]) -> bool:
-        return all(any(monomial_divides(h, w) for h in state) for w in level)
+    def join(self, levels: Iterable[_Regions]) -> tuple[Exponent, ...]:
+        return exponent_antichain(chain.from_iterable(self._points(levels)))
+
+    def contains(self, state: tuple[Exponent, ...], level: _Regions) -> bool:
+        return all(any(monomial_divides(h, w) for h in state) for points in self._points([level]) for w in points)
 
     def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
         return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)
-
-    def _candidates(self, g: Exponent, e: int) -> list[Exponent]:
-        """Members covering the minimal generators of the e-th root summand of (x^g).
-
-        A monomial x^w belongs iff q*w + (q-1)*1 - g lies in N*P(a), with
-        q = p^e and N = ceil(t(q-1)); ``_lattice_walk`` scans the first n-1
-        coordinates over a box that provably contains all minimal
-        generators and closes each fiber with the least feasible last
-        coordinate.
-        """
-        q = self.ring.p**e
-        N = _ceil_mul(self.triple.t, q - 1)
-        base = [q - 1 - gi for gi in g]
-        lb = [max(0, ceil_div(-b, q)) for b in base]
-        ub = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, self._prefix_max, base)]
-        return _lattice_walk(self._hull.facets, lambda c: N * c, q, base, lb, ub)
 
 
 class _SigmaEngine:

@@ -90,6 +90,34 @@ class TestHull:
                 assert all(v >= c for v in values)
                 assert c in values  # touches the hull
 
+    def test_four_variable_hulls_complete(self, rng):
+        # completeness, not only validity: a missing facet would let member()
+        # accept points outside t*P(a)
+        for _ in range(5):
+            gens = random_monomial_gens(rng, 4, rng.randint(2, 4), 4)
+            P = newton_hull(MonomialIdeal(4, gens))
+            t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            for v in iproduct(range(0, 7, 2), repeat=4):
+                assert member(P, v, t) == closed_member_oracle(gens, v, t), (gens, t, v)
+
+    def test_zero_first_pivot(self):
+        # the support (y^2 z, x z^2, x^2 y) puts a zero in the first pivot
+        # of its 3x3 system, and a second zero below it
+        rows = [[0, 2, 1], [0, 1, 2], [2, 1, 0]]
+        assert fsing.newton._det(rows) == 6
+        assert fsing.newton._det([[0, 2, 1], [1, 0, 2], [2, 1, 0]]) == 9
+        assert fsing.newton._det([[0, 1], [0, 2]]) == 0
+        P = newton_hull(MonomialIdeal(3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)]))
+        assert ((1, 1, 1), 3) in P.facets
+
+    def test_hull_kept_on_the_ideal(self):
+        a = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
+        assert newton_hull(a) is newton_hull(a)
+        fresh = MonomialIdeal(2, [(0, 2), (1, 1), (3, 0)])
+        assert fresh == a
+        assert newton_hull(fresh) is not newton_hull(a)
+        assert newton_hull(fresh).facets == newton_hull(a).facets
+
     def test_rejects_improper(self):
         with pytest.raises(ValueError):
             newton_hull(MonomialIdeal.unit(2))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import fsing.newton
+import fsing.nonfpure
 from fsing import (
     Ideal,
     MonomialIdeal,
@@ -30,6 +31,7 @@ from fsing import (
 )
 from fsing.errors import DegreeGuardError, NonconvergenceError
 from fsing.nonfpure import _PolynomialLane, _SigmaEngine
+from fsing.ring import exponent_antichain
 
 from oracles import random_monomial_gens
 
@@ -207,6 +209,32 @@ class TestLanesAgree:
                 forced = _SigmaEngine(T, opts, _PolynomialLane)
                 assert forced.step(J) == fast, (p, gens, t)
 
+    def test_step_cross_check_repeated_regions(self, rng):
+        # three variables at p = 2 with e_max >= 4: region keys recur across
+        # levels, so (generator, level) pairs share walks
+        R = PolyRing(2, ["x", "y", "z"])
+        repeats = 0
+        for _ in range(8):
+            gens = random_monomial_gens(rng, 3, rng.randint(1, 3), 4)
+            t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            T = Triple(R, a=MonomialIdeal(3, gens), t=t)
+            opts = SigmaOptions(e_max=4)
+            # generators past p^e give regions with a lower corner lb > 0
+            J = MonomialIdeal(3, random_monomial_gens(rng, 3, 2, 6)).to_ideal(R)
+            lattice = _SigmaEngine(T, opts)
+            state = exponent_antichain(g.leading_exponent() for g in J.generators)
+            keys = [set(lattice.lane.level(state, e)) for e in range(1, opts.e_max + 1)]
+            repeats += sum(len(k & later) for i, k in enumerate(keys) for later in keys[i + 1 :])
+            fast = lattice.lane.to_ideal(lattice.step(state))
+            forced = _SigmaEngine(T, opts, _PolynomialLane)
+            assert forced.step(J) == fast, (gens, t, opts.e_max)
+            # and the whole chain from R, which walks the regions of every state
+            chain = Ideal.unit(R)
+            while (new := forced.step(chain)) != chain:
+                chain = new
+            assert sigma(T, opts).ideal == chain, (gens, t, opts.e_max)
+        assert repeats
+
     def test_lattice_walk_guard_names_knob(self, monkeypatch):
         R = PolyRing(5, ["x", "y", "z"])
         T = Triple(R, a=MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]), t=2)
@@ -232,6 +260,37 @@ class TestLanesAgree:
                         break
                     state = new
                 assert state == fast
+
+
+class TestLatticeLaneWalks:
+    """The lattice lane walks each region once per triple: the two heaviest
+    monomial-battery pairs made 502 and 372 walks, one per (generator,
+    level) pair, before regions were keyed and pruned to the minimal keys."""
+
+    @pytest.mark.parametrize(
+        "gens, t, p, opts, walks",
+        [
+            # (y z^4, x y^6, x^2 y^5 z^2, x^5 y z)^2 at p = 7
+            ([(0, 1, 4), (1, 6, 0), (2, 5, 2), (5, 1, 1)], Fraction(2), 7, SigmaOptions(e_max=4, probe=2, n_max=30), 11),
+            # (x z^5, x^3 y^4 z^3, x^6 y^5 z)^(16/9) at p = 2
+            ([(1, 0, 5), (3, 4, 3), (6, 5, 1)], Fraction(16, 9), 2, SigmaOptions(e_max=12, probe=6, n_max=30), 7),
+        ],
+    )
+    def test_walk_counts(self, monkeypatch, gens, t, p, opts, walks):
+        calls = []
+        walk = fsing.nonfpure._lattice_walk
+
+        def counting(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(fsing.nonfpure, "_lattice_walk", counting)
+        R = PolyRing(p, ["x", "y", "z"])
+        a = MonomialIdeal(3, gens)
+        result = sigma(Triple(R, a=a, t=t), opts)
+        assert len(calls) == walks
+        assert result.probe_stable
+        assert result.ideal == newton_ideal(a, t, "closed").to_ideal(R)
 
 
 class TestDriverSemantics:
