@@ -13,8 +13,10 @@ from p^e-th powers of its coefficients.
 
 Roots of products J * prod f_i^{N_i} are taken one base-p digit of the N_i
 at a time through (I^[p] K)^[1/p] = I * K^[1/p] (Blickle-Mustata-Smith), so
-the large powers f_i^{N_i} are never expanded; roots of plain powers a^n of
-monomial ideals are taken the same way on exponent antichains.
+the large powers f_i^{N_i} are never expanded; each digit product
+prod f_i^{d_i} is formed once per caller-owned ``powers`` dict, and a root
+with every N_i < p^e is the memoised digit root itself.  Roots of plain
+powers a^n of monomial ideals are taken the same way on exponent antichains.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
 
 
 def root_of_product(
-    ring: PolyRing, gens: Iterable[Polynomial], factors: list[tuple[Polynomial, int]], e: int, memo: dict | None = None
+    ring: PolyRing, gens: Iterable[Polynomial], factors: list[tuple[Polynomial, int]], e: int,
+    memo: dict | None = None, powers: dict | None = None,
 ) -> Ideal:
     """(gens * prod f_i^{N_i})^{[1/p^e]} for ``factors`` = [(f_i, N_i)].
 
@@ -119,12 +122,22 @@ def root_of_product(
     ideal by prod f_i^{d_{i,k}} and takes one p-th root; prod f_i^{M_i}
     multiplies the result from outside the root.  ``memo`` maps a prefix of
     low digits to the ideal after those steps; it is valid for one fixed
-    ``gens`` and ``factors`` polynomials, whatever the N_i.
+    ``gens`` and ``factors`` polynomials, whatever the N_i.  ``powers`` maps
+    (k_i) to prod f_i^{k_i}, valid for one fixed ``factors`` polynomial list
+    whatever the N_i, ``gens`` or e.  When every N_i < p^e the result is the
+    ideal in ``memo`` itself, so later callers share its Groebner basis.
     """
     if e < 0:
         raise ValueError("negative Frobenius exponent")
-    p = ring.p
+    p, q = ring.p, ring.p**e
     memo = {} if memo is None else memo
+    powers = {} if powers is None else powers
+
+    def product(exps: tuple[int, ...]) -> Polynomial:
+        if exps not in powers:
+            powers[exps] = prod((f**k for (f, _), k in zip(factors, exps) if k), start=ring.one())
+        return powers[exps]
+
     current = Ideal(ring, gens)
     prefix: tuple = ()
     for k in range(e):
@@ -134,11 +147,12 @@ def root_of_product(
             base = current.generators
             if any(digits):
                 # a reduced basis keeps the product small; ``gens`` come as given
-                step = prod((f**d for (f, _), d in zip(factors, digits) if d), start=ring.one())
-                base = [g * step for g in (current.groebner_basis() if k else base)]
+                base = [g * product(digits) for g in (current.groebner_basis() if k else base)]
             memo[prefix] = frobenius_root(Ideal(ring, base), 1)
         current = memo[prefix]
-    outside = prod((f ** (n // p**e) for f, n in factors if n >= p**e), start=ring.one())
+    if all(n < q for _, n in factors):
+        return current
+    outside = product(tuple(n // q for _, n in factors))
     return Ideal(ring, [g * outside for g in current.generators])
 
 

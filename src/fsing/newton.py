@@ -333,7 +333,8 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
 
     A value t is critical when some v + 1 lies on a scaled facet; it is a
     jump exactly when the closed and interior ideals at t differ, that is,
-    when their walks (same box, same prefix order) list different points.
+    when some minimal generator of the closed ideal lies on a scaled facet;
+    the closed walk lists every minimal generator, so one walk decides it.
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
@@ -354,4 +355,6 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
         _box_guard(bounds)
         sums = {sum(wi * (x + 1) for wi, x in zip(w, v)) for v in product(*(range(b + 1) for b in bounds))}
         candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
-    return tuple(t for t in sorted(candidates) if _newton_walk(P, t, "closed") != _newton_walk(P, t, "interior"))
+    return tuple(t for t in sorted(candidates) if any(
+        t.denominator * sum(wi * (x + 1) for wi, x in zip(w, v)) == t.numerator * c
+        for v in _newton_walk(P, t, "closed") for w, c in P.facets))

@@ -239,13 +239,15 @@ def _stabilize(
 
 
 class _PolynomialLane:
-    """States are ideals of R; every level is a digit-by-digit Frobenius root."""
+    """States are ideals of R; every level is a digit-by-digit Frobenius root,
+    on digit prefixes and products prod f_i^{k_i} that the lane owns."""
 
     def __init__(self, triple: Triple):
         self.triple = triple
         self.ring = triple.ring
         self.unit = Ideal.unit(self.ring)
         self._roots: dict = {}
+        self._powers: dict = {}
         self._closure: dict[int, MonomialIdeal] = {}
 
     @staticmethod
@@ -269,7 +271,7 @@ class _PolynomialLane:
             gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in self._closure[e].generators]
         memo = self._roots.setdefault((J.canonical_key(), e if a is not None else None), {})
         factors = [(f, _ceil_mul(coef, q1)) for coef, f in self.triple.divisor]
-        return root_of_product(self.ring, gens, factors, e, memo)
+        return root_of_product(self.ring, gens, factors, e, memo, self._powers)
 
     def join(self, levels: Iterable[Ideal]) -> Ideal:
         return Ideal(self.ring, [g for term in levels for g in term.generators])
@@ -466,12 +468,12 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
     if e0 is None:
         raise ValueError("no Cartier period: p divides a coefficient denominator or the bound is exceeded")
     ring = T.ring
-    memo: dict = {}
+    memo, powers = {}, {}
 
     def member(l: int) -> Ideal:
         e = l * e0
         factors = [(f, int(coef * (ring.p**e - 1))) for coef, f in T.divisor]
-        return root_of_product(ring, [ring.one()], factors, e, memo)
+        return root_of_product(ring, [ring.one()], factors, e, memo, powers)
 
     current, l, first = _stabilize(
         lambda _, l: member(l),
@@ -529,14 +531,14 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
 
     else:
         start = Ideal.zero(ring)
-        memos: dict = {}
+        memos, powers = {}, {}
 
         def level(e: int) -> Ideal:
             q = p**e
             factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor]
             n = _ceil_mul(T.t, q) if T.a is not None else None
             gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
-            return root_of_product(ring, gens, factors, e, memos.setdefault(n, {}))
+            return root_of_product(ring, gens, factors, e, memos.setdefault(n, {}), powers)
 
     total, _, _ = _stabilize(
         lambda total, e: total + level(e),

@@ -189,6 +189,33 @@ class TestRootOfProduct:
                 got = root_of_product(R, gens, factors, e_top, memo)
                 assert got == self.expanded_root(R, gens, factors, e_top)
 
+    def test_shared_powers_across_calls(self):
+        # one ``powers`` dict for fixed factors, across many gens, N and e;
+        # two factors with digit vectors of equal sum must not share a product
+        rng = random.Random(50)
+        shapes = {"equal digit sums": 0, "outside": 0, "all N < q": 0}
+        for p in (2, 3, 5):
+            R = PolyRing(p, ["x", "y"])
+            fs = [poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=3, max_exp=2)) for _ in range(2)]
+            powers: dict = {}
+            for _ in range(10):
+                e = rng.randint(1, 3 if p < 5 else 2)
+                q = p**e
+                gens = [poly_from_dict(R, random_poly_terms(rng, 2, p, max_terms=2, max_exp=3))]
+                factors = [(f, rng.choice([rng.randint(0, q - 1), rng.randint(0, 2 * q)])) for f in fs]
+                memo: dict = {}
+                got = root_of_product(R, gens, factors, e, memo, powers)
+                assert got == self.expanded_root(R, gens, factors, e), (p, e, gens, factors)
+                if all(n < q for _, n in factors):
+                    assert any(got is root for root in memo.values())
+                    shapes["all N < q"] += 1
+                shapes["outside"] += any(n >= q for _, n in factors)
+            sums: dict = {}
+            for exps in powers:
+                sums.setdefault(sum(exps), set()).add(exps)
+            shapes["equal digit sums"] += any(len(v) > 1 for v in sums.values())
+        assert all(shapes.values()), shapes
+
     def test_e_zero_is_the_product(self):
         R = PolyRing(3, ["x", "y"])
         x, y = R.variable(0), R.variable(1)

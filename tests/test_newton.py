@@ -291,6 +291,36 @@ class TestThresholds:
             # below the first jump everything is the unit ideal
             assert newton_ideal(a, jumps[0] / 2, "closed").is_unit()
 
+    def test_jumps_exact_in_three_variables(self):
+        # every critical value is some k/c over a facet (w, c); any t = k/c
+        # up to t_max is returned exactly when closed and interior differ
+        rng = random.Random(61)
+        for _ in range(5):
+            a = MonomialIdeal(3, random_monomial_gens(rng, 3, rng.randint(2, 4), 3))
+            t_max = Fraction(rng.randint(3, 6), 2)
+            jumps = set(jumping_candidates(a, t_max))
+            values = {Fraction(k, c) for _, c in newton_hull(a).facets for k in range(1, int(t_max * c) + 1)}
+            assert jumps <= values
+            for t in values:
+                assert (t in jumps) == (newton_ideal(a, t, "closed") != newton_ideal(a, t, "interior")), (a, t)
+
+    @pytest.mark.parametrize(
+        "gens, t_max, walks",
+        [([(2, 0), (0, 3)], 2, 7), ([(5, 0, 1), (3, 1, 5), (1, 3, 2)], 2, 103), ([(1, 2, 0), (0, 1, 3), (2, 0, 2)], 3, 34)],
+    )
+    def test_one_walk_per_candidate(self, monkeypatch, gens, t_max, walks):
+        # closed and interior were walked apart before: 14, 206 and 68 walks
+        calls = []
+        walk = fsing.newton._lattice_walk
+
+        def counting(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(fsing.newton, "_lattice_walk", counting)
+        jumping_candidates(MonomialIdeal(len(gens[0]), gens), t_max)
+        assert len(calls) == walks
+
     def test_delta_limit(self, rng):
         # closed(t) equals interior(t - d) once d undercuts the candidate gap
         for _ in range(10):

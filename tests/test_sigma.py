@@ -13,11 +13,14 @@ import fsing.nonfpure
 from fsing import (
     Ideal,
     MonomialIdeal,
+    Polynomial,
     PolyRing,
     QDivisor,
+    RestrictionProblem,
     SigmaOptions,
     Triple,
     cartier_period,
+    check_restriction,
     frobenius_root,
     is_sharply_fpure,
     is_strongly_fregular,
@@ -291,6 +294,50 @@ class TestLatticeLaneWalks:
         assert len(calls) == walks
         assert result.probe_stable
         assert result.ideal == newton_ideal(a, t, "closed").to_ideal(R)
+
+
+class TestDigitProducts:
+    """Each digit product prod f_i^{d_i} is formed once per triple: counted
+    by ``Polynomial.__pow__`` calls, which the chains re-made at every level
+    and state before products were kept per call (10 for the cusp sigma
+    below, 18 for the restriction check)."""
+
+    @staticmethod
+    def count_powers(monkeypatch) -> list:
+        calls = []
+        power = Polynomial.__pow__
+
+        def counting(f, n):
+            calls.append(n)
+            return power(f, n)
+
+        monkeypatch.setattr(Polynomial, "__pow__", counting)
+        return calls
+
+    def test_cusp_chains_form_one_power(self, monkeypatch):
+        # t = 1 has every digit p - 1 and no outside factor
+        T = cusp_triple(5)
+        calls = self.count_powers(monkeypatch)
+        result = sigma(T, SigmaOptions(e_max=4, probe=2))
+        assert calls == [4]
+        assert result.ideal == maximal_ideal(T.ring) and result.probe_stable
+        for chain in (tau_b, sigma_fast_cartier):
+            calls.clear()
+            chain(T)
+            assert len(calls) == 1
+
+    def test_restriction_forms_one_power_per_factor(self, monkeypatch):
+        R = PolyRing(7, ["x", "y", "z"])
+        x, y = R.variable(0), R.variable(1)
+        B = QDivisor([(Fraction(5, 6), y**2 - x**3)])
+        ambient = QDivisor([(1, R.variable(2)), *B.entries])
+        calls = self.count_powers(monkeypatch)
+        sigma(Triple(R, ambient))
+        assert sorted(calls) == [5, 6]
+        calls.clear()
+        report = check_restriction(RestrictionProblem(R, 2, B))
+        # two ambient factors, one restricted factor
+        assert len(calls) == 3 and report.equal
 
 
 class TestDriverSemantics:
