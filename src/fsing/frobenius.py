@@ -100,6 +100,10 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
     if e == 0:
         return I
     ring = I.ring
+    if e > 1:
+        # once p^e passes every exponent the root is the same ideal of constants,
+        # so a huge e never forms p^e; the digit steps (e = 1) skip this scan
+        e = min(e, max((a for g in I.generators for exp in g.terms for a in exp), default=0).bit_length())
     q = ring.p**e
     seen: set[tuple] = set()
     gens: list[Polynomial] = []

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .errors import DegreeGuardError
-from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides, square_multiply
 
 MembershipMode = Literal["closed", "interior"]
 
@@ -94,15 +94,7 @@ class MonomialIdeal:
         """The plain ideal power a^n (not a closure)."""
         if n < 0:
             raise ValueError("negative ideal power")
-        result = MonomialIdeal.unit(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_multiply(self, n, MonomialIdeal.unit(self.nvars))
 
     def to_ideal(self, ring: PolyRing) -> "object":
         from .groebner import Ideal

@@ -22,11 +22,14 @@ monotone in J, so the truncated limit always sits inside the true ideal;
 the probe (recomputing the final step at a few larger e) is a stability
 check that the truncation did not lose anything visible.
 
-Each level is evaluated by one of two lanes, chosen once per triple:
+Each level is evaluated by one of two lanes, chosen once per triple; a
+lane owns its caches, the cached step, the tail sums and the probe:
 
 * the polynomial lane holds ideals of R and takes every root one base-p
-  digit of the f_i exponents at a time (``root_of_product``), so f_i^N is
-  never expanded;
+  digit of the f_i exponents at a time (``root_of_product``, called from
+  ``_PolynomialLane.root`` only), so f_i^N is never expanded; the Cartier
+  chain and the test-ideal sum of a triple with a divisor take their
+  levels from it too;
 * the lattice lane serves triples whose divisor list is empty: they never
   leave the lattice of monomial ideals, held as exponent antichains, and a
   monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
@@ -44,7 +47,7 @@ a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]} over digit vectors d
 
 The descending chain, the Cartier chain and the ascending test-ideal sum
 all run on one driver, ``_stabilize``, which iterates until a window of
-consecutive repeats; each caller keeps its own probe and failure message.
+consecutive repeats; each caller keeps its own failure message.
 """
 
 from __future__ import annotations
@@ -238,13 +241,48 @@ def _stabilize(
     raise NonconvergenceError(failure)
 
 
-class _PolynomialLane:
+class _Lane:
+    """One chain lane for one triple: the step of the descending chain,
+    cached per state, and the largest level evaluated, ``max_e_used``.
+
+    A lane supplies ``unit``, ``key``, ``_summand`` (the level-e summand of a
+    state), ``join`` (the sum of summands), ``contains`` and ``to_ideal``;
+    both lanes give the same ideals.
+    """
+
+    def __init__(self, triple: Triple, opts: SigmaOptions):
+        self.triple = triple
+        self.ring = triple.ring
+        self.opts = opts
+        self.max_e_used = 0
+        self._steps: dict = {}
+
+    def level(self, state, e: int):
+        self.max_e_used = max(self.max_e_used, e)
+        return self._summand(state, e)
+
+    def tail(self, state, e_lo: int, e_hi: int):
+        """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
+        return self.join(self.level(state, e) for e in range(e_lo, e_hi + 1))
+
+    def step(self, state):
+        key = self.key(state)
+        if key not in self._steps:
+            self._steps[key] = self.tail(state, 1, self.opts.e_max)
+        return self._steps[key]
+
+    def probe(self, state) -> bool:
+        """True when levels (e_max, e_max + probe] add nothing to ``state``."""
+        lo = self.opts.e_max + 1
+        return all(self.contains(state, self.level(state, e)) for e in range(lo, lo + self.opts.probe))
+
+
+class _PolynomialLane(_Lane):
     """States are ideals of R; every level is a digit-by-digit Frobenius root,
     on digit prefixes and products prod f_i^{k_i} that the lane owns."""
 
-    def __init__(self, triple: Triple):
-        self.triple = triple
-        self.ring = triple.ring
+    def __init__(self, triple: Triple, opts: SigmaOptions):
+        super().__init__(triple, opts)
         self.unit = Ideal.unit(self.ring)
         self._roots: dict = {}
         self._powers: dict = {}
@@ -254,24 +292,27 @@ class _PolynomialLane:
     def key(J: Ideal):
         return J.canonical_key()
 
-    def level(self, J: Ideal, e: int) -> Ideal:
-        """(J * prod_i f_i^{ceil(t_i (p^e - 1))} * cl(a^M))^{[1/p^e]}, one base-p
-        digit of each divisor exponent at a time; f^N is never expanded.
+    def root(self, J: Ideal, extra: MonomialIdeal | None, exps: list[int], e: int) -> Ideal:
+        """(J * extra * prod_i f_i^{exps_i})^{[1/p^e]}, one base-p digit of each
+        exps_i at a time; f_i^{exps_i} is never expanded.
 
-        The closure factor is no Frobenius power, so it joins J before the
-        first digit.  Digit prefixes are memoised per (J, closure level): at
-        t = 1 every digit is p - 1 and level e is one root above level e - 1.
+        The monomial factor ``extra`` is no Frobenius power, so it joins J
+        before the first digit.  Digit prefixes are memoised per (J, extra):
+        at t_i = 1 every digit is p - 1 and level e is one root above e - 1.
         """
-        a = self.triple.a
-        q1 = self.ring.p**e - 1
         gens = J.groebner_basis().elements
-        if a is not None:
-            if e not in self._closure:
-                self._closure[e] = integral_closure_power(a, _ceil_mul(self.triple.t, q1))
-            gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in self._closure[e].generators]
-        memo = self._roots.setdefault((J.canonical_key(), e if a is not None else None), {})
-        factors = [(f, _ceil_mul(coef, q1)) for coef, f in self.triple.divisor]
+        if extra is not None:
+            gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in extra.generators]
+        memo = self._roots.setdefault((J.canonical_key(), extra), {})
+        factors = [(f, n) for (_, f), n in zip(self.triple.divisor, exps)]
         return root_of_product(self.ring, gens, factors, e, memo, self._powers)
+
+    def _summand(self, J: Ideal, e: int) -> Ideal:
+        """``root`` of J * prod_i f_i^{ceil(t_i (p^e - 1))} * cl(a^{ceil(t (p^e - 1))})."""
+        a, q1 = self.triple.a, self.ring.p**e - 1
+        if a is not None and e not in self._closure:
+            self._closure[e] = integral_closure_power(a, _ceil_mul(self.triple.t, q1))
+        return self.root(J, self._closure.get(e), [_ceil_mul(c, q1) for c, _ in self.triple.divisor], e)
 
     def join(self, levels: Iterable[Ideal]) -> Ideal:
         return Ideal(self.ring, [g for term in levels for g in term.generators])
@@ -285,7 +326,7 @@ class _PolynomialLane:
         return J
 
 
-class _LatticeLane:
+class _LatticeLane(_Lane):
     """States are exponent antichains of monomial ideals, for divisor-free
     triples; a level is a set of regions, each walked once per lane.
 
@@ -298,9 +339,8 @@ class _LatticeLane:
     of the first g that produced it.
     """
 
-    def __init__(self, triple: Triple):
-        self.triple = triple
-        self.ring = triple.ring
+    def __init__(self, triple: Triple, opts: SigmaOptions):
+        super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
         hull = newton_hull(triple.a)
         self._facets = hull.facets
@@ -311,7 +351,7 @@ class _LatticeLane:
     def key(state: tuple[Exponent, ...]):
         return state
 
-    def level(self, state: tuple[Exponent, ...], e: int) -> _Regions:
+    def _summand(self, state: tuple[Exponent, ...], e: int) -> _Regions:
         """The region keys of level e from ``state``, each with its prefix box."""
         q = self.ring.p**e
         N = _ceil_mul(self.triple.t, q - 1)
@@ -346,41 +386,8 @@ class _LatticeLane:
         return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)
 
 
-class _SigmaEngine:
-    """The step of the descending chain for one triple, on one lane.
-
-    The lane is the lattice lane for divisor-free triples and the
-    polynomial lane otherwise, unless ``lane`` names one; both give the
-    same ideals.  Steps are cached per state, and ``max_e_used`` records the
-    largest level evaluated.
-    """
-
-    def __init__(self, triple: Triple, opts: SigmaOptions, lane: type | None = None):
-        if lane is None:
-            lane = _LatticeLane if not triple.divisor and triple.a is not None else _PolynomialLane
-        self.lane = lane(triple)
-        self.opts = opts
-        self.max_e_used = 0
-        self._step_cache: dict = {}
-
-    def _level(self, state, e: int):
-        self.max_e_used = max(self.max_e_used, e)
-        return self.lane.level(state, e)
-
-    def tail(self, state, e_lo: int, e_hi: int):
-        """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
-        return self.lane.join(self._level(state, e) for e in range(e_lo, e_hi + 1))
-
-    def step(self, state):
-        key = self.lane.key(state)
-        if key not in self._step_cache:
-            self._step_cache[key] = self.tail(state, 1, self.opts.e_max)
-        return self._step_cache[key]
-
-    def probe(self, state) -> bool:
-        """True when levels (e_max, e_max + probe] add nothing to ``state``."""
-        lo = self.opts.e_max + 1
-        return all(self.lane.contains(state, self._level(state, e)) for e in range(lo, lo + self.opts.probe))
+def _lane(T: Triple, opts: SigmaOptions) -> _Lane:
+    return (_LatticeLane if not T.divisor and T.a is not None else _PolynomialLane)(T, opts)
 
 
 def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
@@ -392,16 +399,16 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     added anything.
     """
     opts = opts or SigmaOptions()
-    engine = _SigmaEngine(T, opts)
+    lane = _lane(T, opts)
     state, _, first = _stabilize(
-        lambda s, _: engine.step(s),
-        engine.lane.unit,
+        lambda s, _: lane.step(s),
+        lane.unit,
         opts.window,
         opts.n_max,
         f"chain did not stabilize within {opts.n_max} iterations (window {opts.window})",
     )
-    probe_ok = engine.probe(state)
-    return SigmaResult(engine.lane.to_ideal(state), first, engine.max_e_used, probe_ok)
+    probe_ok = lane.probe(state)
+    return SigmaResult(lane.to_ideal(state), first, lane.max_e_used, probe_ok)
 
 
 def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -411,11 +418,10 @@ def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     if J.ring != T.ring:
         raise ValueError("ideal and triple live in different rings")
     opts = opts or SigmaOptions()
-    monomial = all(g.is_monomial() for g in J.generators)
-    engine = _SigmaEngine(T, opts, None if monomial else _PolynomialLane)
-    if isinstance(engine.lane, _LatticeLane):
+    lane = _lane(T, opts) if all(g.is_monomial() for g in J.generators) else _PolynomialLane(T, opts)
+    if isinstance(lane, _LatticeLane):
         J = exponent_antichain(g.leading_exponent() for g in J.generators)
-    return engine.lane.to_ideal(engine.step(J))
+    return lane.to_ideal(lane.step(J))
 
 
 def sigma_prime_n(T: Triple, n: int, opts: SigmaOptions | None = None) -> Ideal:
@@ -428,8 +434,8 @@ def sigma_prime_n(T: Triple, n: int, opts: SigmaOptions | None = None) -> Ideal:
     if n < 0:
         raise ValueError("tail index must be nonnegative")
     opts = opts or SigmaOptions()
-    engine = _SigmaEngine(T, opts)
-    return engine.lane.to_ideal(engine.tail(engine.lane.unit, n, n + opts.e_max))
+    lane = _lane(T, opts)
+    return lane.to_ideal(lane.tail(lane.unit, n, n + opts.e_max))
 
 
 def denominator_lcm(T: Triple) -> int:
@@ -467,13 +473,10 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
     e0 = cartier_period(T)
     if e0 is None:
         raise ValueError("no Cartier period: p divides a coefficient denominator or the bound is exceeded")
-    ring = T.ring
-    memo, powers = {}, {}
+    lane = _PolynomialLane(T, opts)
 
     def member(l: int) -> Ideal:
-        e = l * e0
-        factors = [(f, int(coef * (ring.p**e - 1))) for coef, f in T.divisor]
-        return root_of_product(ring, [ring.one()], factors, e, memo, powers)
+        return lane.level(lane.unit, l * e0)
 
     current, l, first = _stabilize(
         lambda _, l: member(l),
@@ -483,28 +486,25 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
         f"Cartier chain did not stabilize within {opts.n_max} members (window {opts.window})",
         start=1,
     )
-    probe_ok = True
-    for l in range(l + 1, l + 1 + opts.probe):
-        if member(l) != current:
-            probe_ok = False
-            break
-    return SigmaResult(current, first, l * e0, probe_ok)
+    probe_ok = all(member(k) == current for k in range(l + 1, l + 1 + opts.probe))
+    return SigmaResult(current, first, lane.max_e_used, probe_ok)
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     """The stabilized ascending sum of test-ideal summands.
 
     The e-th summand is the p^e-th root of prod f_i^{ceil(t_i p^e)} times
-    the plain power a^{ceil(t p^e)}.  Divisor-free triples stay on monomial
-    ideals, held as exponent antichains: each summand is
-    ``monomial_power_root``, which takes the root one base-p digit of the
-    exponent at a time, so a^{ceil(t p^e)} is never expanded, and the sum
-    becomes an Ideal once at the end.  Otherwise the summand is taken digit
-    by digit with ``root_of_product``, the power of a folded in before the
-    first digit.  The summands themselves ascend (ceil(t p^{e+1}) <=
-    p * ceil(t p^e) pushes each term into the next), so the sum is capped
-    at R and the loop short-circuits on reaching the unit ideal.
-    Exhausting n_max first raises instead of returning a too-small ideal.
+    the plain power a^{ceil(t p^e)}.  The summands themselves ascend
+    (ceil(t p^{e+1}) <= p * ceil(t p^e) pushes each term into the next), so
+    the sum over levels 1..e is the e-th summand and no sum is formed; the
+    loop short-circuits on reaching the unit ideal, and exhausting n_max
+    first raises instead of returning a too-small ideal.  Divisor-free
+    triples stay on monomial ideals, held as exponent antichains: each
+    summand is ``monomial_power_root``, which takes the root one base-p
+    digit of the exponent at a time, so a^{ceil(t p^e)} is never expanded,
+    and the value becomes an Ideal once at the end.  Otherwise the summand
+    is ``_PolynomialLane.root``, digit by digit in the f_i exponents, with
+    the power of a folded in before the first digit.
 
     Stabilization is declared after a window of no-growth levels, widened
     to outlast the ceiling transients: the exponents ceil(t p^e) settle
@@ -524,25 +524,22 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     window = max(opts.window, v + _order_mod(p, L, L))
 
     if T.a is not None and not T.divisor:
-        start = MonomialIdeal.zero(ring.nvars)
 
         def level(e: int) -> MonomialIdeal:
             return monomial_power_root(T.a, _ceil_mul(T.t, p**e), e, p)
 
     else:
-        start = Ideal.zero(ring)
-        memos, powers = {}, {}
+        lane = _PolynomialLane(T, opts)
 
         def level(e: int) -> Ideal:
             q = p**e
-            factors = [(f, _ceil_mul(coef, q)) for coef, f in T.divisor]
-            n = _ceil_mul(T.t, q) if T.a is not None else None
-            gens = [Polynomial(ring, {m: 1}) for m in T.a.power(n).generators] if n is not None else [ring.one()]
-            return root_of_product(ring, gens, factors, e, memos.setdefault(n, {}), powers)
+            extra = T.a.power(_ceil_mul(T.t, q)) if T.a is not None else None
+            return lane.root(lane.unit, extra, [_ceil_mul(coef, q) for coef, _ in T.divisor], e)
 
+    # no summand is the zero ideal, so the first one counts as growth from None
     total, _, _ = _stabilize(
-        lambda total, e: total + level(e),
-        start,
+        lambda _, e: level(e),
+        None,
         window,
         opts.n_max,
         f"test-ideal sum did not stabilize within {opts.n_max} levels (window {window})",
@@ -558,8 +555,8 @@ def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:
     means the chain is constant, while step(R) proper traps the whole
     chain inside a proper ideal.
     """
-    engine = _SigmaEngine(T, opts or SigmaOptions())
-    return engine.step(engine.lane.unit) == engine.lane.unit
+    lane = _lane(T, opts or SigmaOptions())
+    return lane.step(lane.unit) == lane.unit
 
 
 def is_strongly_fregular(T: Triple, opts: SigmaOptions | None = None) -> bool:
@@ -575,7 +572,6 @@ class MonomialTheoremReport:
     ideal: Ideal
     newton: MonomialIdeal
     sigma_result: SigmaResult
-    e_max_final: int
 
 
 def verify_monomial_theorem(
@@ -615,10 +611,4 @@ def verify_monomial_theorem(
         result = sigma(triple, opts)
     expected = newton_ideal(a, t, "closed")
     equal = result.ideal == expected.to_ideal(ring)
-    return MonomialTheoremReport(
-        equal=equal,
-        ideal=result.ideal,
-        newton=expected,
-        sigma_result=result,
-        e_max_final=opts.e_max,
-    )
+    return MonomialTheoremReport(equal=equal, ideal=result.ideal, newton=expected, sigma_result=result)

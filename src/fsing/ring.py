@@ -32,6 +32,18 @@ def monomial_divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
+def square_multiply(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, under ``*`` with unit ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Minimal elements of the up-set generated by ``points``, sorted."""
     ordered = sorted(set(points), key=lambda e: (sum(e), e))
@@ -370,18 +382,6 @@ class Polynomial:
     def __rmul__(self, other: int) -> "Polynomial":
         return self.__mul__(other)
 
-    def _small_pow(self, n: int) -> "Polynomial":
-        # square-and-multiply; exponent below p
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __pow__(self, n: int) -> "Polynomial":
         """f^n by base-p digits: f^n = prod_i (f^{d_i})^{p^i} for n = sum d_i p^i.
 
@@ -401,7 +401,7 @@ class Polynomial:
         while n:
             n, d = divmod(n, p)
             if d:
-                piece = self._small_pow(d).frobenius_power(i)
+                piece = square_multiply(self, d, self.ring.one()).frobenius_power(i)
                 result = piece if result is None else result * piece
             i += 1
         return result if result is not None else self.ring.one()

@@ -290,6 +290,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "MAX_DIGIT_VECTORS" in err
 
+    @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
+    def test_froot_huge_level(self, capsys, ideal, root):
+        # p^e is never formed past the largest exponent: the root of (x) at
+        # e = 10^12 used to compute 2^(10^12) first and never return
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "froot", "--prime", "2", "--vars", "x,y", "--ideal", ideal, "--e", "1000000000000")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out.splitlines()[0]) == (0, f"root = {root}")
+
 
 @st.composite
 def _monomial_pairs(draw):

@@ -33,10 +33,10 @@ from fsing import (
     verify_monomial_theorem,
 )
 from fsing.errors import DegreeGuardError, NonconvergenceError
-from fsing.nonfpure import _PolynomialLane, _SigmaEngine
+from fsing.nonfpure import _LatticeLane, _PolynomialLane, _ceil_mul
 from fsing.ring import exponent_antichain
 
-from oracles import random_monomial_gens
+from oracles import random_monomial_gens, random_poly_terms
 
 
 def cusp_triple(p: int, coef=1) -> Triple:
@@ -47,6 +47,19 @@ def cusp_triple(p: int, coef=1) -> Triple:
 
 def maximal_ideal(R: PolyRing) -> Ideal:
     return Ideal(R, [R.variable(i) for i in range(R.nvars)])
+
+
+def random_divisor(rng: random.Random, R: PolyRing) -> QDivisor:
+    """One or two nonconstant entries of degree <= 3 per variable, with
+    coefficients n/d for d <= 6 and n <= 2d."""
+    entries = []
+    count = rng.randint(1, 2)
+    while len(entries) < count:
+        f = R.from_terms(random_poly_terms(rng, R.nvars, R.p, 3, 3))
+        if not f.is_constant():
+            den = rng.randint(1, 6)
+            entries.append((Fraction(rng.randint(1, 2 * den), den), f))
+    return QDivisor(entries)
 
 
 class TestTripleValidation:
@@ -173,8 +186,6 @@ class TestThresholdPairs:
         T = cusp_triple(5, Fraction(79, 100))
         ring = T.ring
         f = T.divisor.entries[0][1]
-        from fsing.nonfpure import _ceil_mul
-
         t = Fraction(79, 100)
         terms = [
             frobenius_root(Ideal(ring, [f ** _ceil_mul(t, 5**e)]), e) for e in (1, 2, 3)
@@ -197,7 +208,7 @@ class TestLanesAgree:
                 opts = SigmaOptions(e_max=3)
                 J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
                 fast = sigma_step(J, T, opts)
-                forced = _SigmaEngine(T, opts, _PolynomialLane)
+                forced = _PolynomialLane(T, opts)
                 assert forced.step(J) == fast
         # three variables walk a two-dimensional prefix in both lanes
         for p in (2, 3):
@@ -209,7 +220,7 @@ class TestLanesAgree:
                 opts = SigmaOptions(e_max=2)
                 J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
                 fast = sigma_step(J, T, opts)
-                forced = _SigmaEngine(T, opts, _PolynomialLane)
+                forced = _PolynomialLane(T, opts)
                 assert forced.step(J) == fast, (p, gens, t)
 
     def test_step_cross_check_repeated_regions(self, rng):
@@ -224,12 +235,12 @@ class TestLanesAgree:
             opts = SigmaOptions(e_max=4)
             # generators past p^e give regions with a lower corner lb > 0
             J = MonomialIdeal(3, random_monomial_gens(rng, 3, 2, 6)).to_ideal(R)
-            lattice = _SigmaEngine(T, opts)
+            lattice = _LatticeLane(T, opts)
             state = exponent_antichain(g.leading_exponent() for g in J.generators)
-            keys = [set(lattice.lane.level(state, e)) for e in range(1, opts.e_max + 1)]
+            keys = [set(lattice.level(state, e)) for e in range(1, opts.e_max + 1)]
             repeats += sum(len(k & later) for i, k in enumerate(keys) for later in keys[i + 1 :])
-            fast = lattice.lane.to_ideal(lattice.step(state))
-            forced = _SigmaEngine(T, opts, _PolynomialLane)
+            fast = lattice.to_ideal(lattice.step(state))
+            forced = _PolynomialLane(T, opts)
             assert forced.step(J) == fast, (gens, t, opts.e_max)
             # and the whole chain from R, which walks the regions of every state
             chain = Ideal.unit(R)
@@ -256,7 +267,7 @@ class TestLanesAgree:
                 opts = SigmaOptions(e_max=3, probe=1)
                 fast = sigma(T, opts).ideal
                 state = Ideal.unit(R)
-                forced = _SigmaEngine(T, opts, _PolynomialLane)
+                forced = _PolynomialLane(T, opts)
                 for _ in range(opts.n_max):
                     new = forced.step(state)
                     if new == state:
@@ -420,6 +431,23 @@ class TestCartier:
             assert fast.ideal == maximal_ideal(T.ring)
             assert fast.probe_stable
 
+    def test_fast_chain_matches_sigma_seeded(self):
+        # divisor-only triples with a period e0: the descending chain with
+        # e_max = max(4, 2 e0) reaches the Cartier chain's value
+        rng = random.Random(5101)
+        checked = 0
+        for _ in range(180):
+            p = rng.choice([2, 3, 5, 7])
+            R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
+            T = Triple(R, random_divisor(rng, R))
+            e0 = cartier_period(T)
+            if e0 is None:
+                continue
+            opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0))
+            assert sigma(T, opts).ideal == sigma_fast_cartier(T).ideal, T
+            checked += 1
+        assert checked >= 100
+
     def test_fast_chain_principal_variable(self):
         R = PolyRing(5, ["y"])
         T = Triple(R, QDivisor([(2, R.variable(0))]))
@@ -453,11 +481,34 @@ class TestTau:
         total = tau_b(T)
         ring = T.ring
         f = T.divisor.entries[0][1]
-        from fsing.nonfpure import _ceil_mul
-
         for e in (1, 2, 3, 4):
             term = frobenius_root(Ideal(ring, [f ** _ceil_mul(Fraction(1, 2), 3**e)]), e)
             assert total.contains_ideal(term)
+
+    def test_polynomial_summands_ascend(self):
+        # the e-th summand lies in the (e+1)-th, so tau_b advances summand
+        # by summand instead of summing
+        rng = random.Random(6203)
+        mixed = 0
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
+            a = None
+            if rng.random() < 0.5:
+                a = MonomialIdeal(R.nvars, random_monomial_gens(rng, R.nvars, rng.randint(1, 2), 3))
+                mixed += 1
+            T = Triple(R, random_divisor(rng, R), a, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+            lane = _PolynomialLane(T, SigmaOptions())
+
+            def summand(e: int) -> Ideal:
+                q = p**e
+                extra = None if a is None else a.power(_ceil_mul(T.t, q))
+                return lane.root(lane.unit, extra, [_ceil_mul(c, q) for c, _ in T.divisor], e)
+
+            terms = [summand(e) for e in range(1, 5)]
+            for lower, upper in zip(terms, terms[1:]):
+                assert upper.contains_ideal(lower), T
+        assert 0 < mixed < 60
 
     def test_fregular_iff_tau_unit(self):
         assert is_strongly_fregular(cusp_triple(5, Fraction(1, 2)))
