@@ -152,7 +152,7 @@ class _Parser:
             self.take()
             exponent = self.expect_int()
             if exponent > MAX_PARSED_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the cap {MAX_PARSED_EXPONENT}", *self.end)
+                raise ParseError(f"exponent {exponent} exceeds the cap {MAX_PARSED_EXPONENT}", *self.tokens[self.i - 1][2:])
             return base**exponent
         return base
 
@@ -270,14 +270,6 @@ def parse_monomial_ideal(text: str, nvars_names: tuple[str, ...]) -> MonomialIde
 # -- canonical output ---------------------------------------------------------
 
 
-def format_fraction(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def format_ideal(I: Ideal) -> str:
-    return str(I)
-
-
 def ideal_generator_strings(I: Ideal) -> list[str]:
     return [str(g) for g in I.groebner_basis().elements]
 
@@ -345,10 +337,6 @@ def _add_budget_flags(sub):
     sub.add_argument("--window", type=int, default=defaults.window, help="stable steps required")
 
 
-def _add_json_flag(sub):
-    sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-
-
 def _add_triple_command(subs, name: str, summary: str):
     sub = subs.add_parser(name, help=summary)
     _add_ring_flags(sub)
@@ -356,7 +344,6 @@ def _add_triple_command(subs, name: str, summary: str):
     sub.add_argument("--ideal", help="monomial ideal, e.g. \"[x^2, y^3]\"")
     sub.add_argument("--t", help="exponent for the monomial ideal (positive rational)")
     _add_budget_flags(sub)
-    _add_json_flag(sub)
 
 
 @functools.cache  # built on the first run, not at import, and reused; parse_args keeps no state
@@ -371,32 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_flags(sub)
     sub.add_argument("--ideal", required=True, help="bracket list of polynomials")
     sub.add_argument("--e", type=int, required=True, help="Frobenius level")
-    _add_json_flag(sub)
 
     sub = subs.add_parser("newton", help="Newton-membership monomial ideal")
     _add_ring_flags(sub, prime=False)
     sub.add_argument("--ideal", required=True, help="bracket list of monomials")
     sub.add_argument("--t", required=True, help="positive rational exponent")
     sub.add_argument("--mode", choices=("closed", "interior"), default="closed")
-    _add_json_flag(sub)
 
     sub = subs.add_parser("lct", help="log-canonical threshold of a monomial ideal")
     _add_ring_flags(sub, prime=False)
     sub.add_argument("--ideal", required=True, help="bracket list of monomials")
-    _add_json_flag(sub)
 
     sub = subs.add_parser("jumps", help="jumping numbers of a monomial ideal")
     _add_ring_flags(sub, prime=False)
     sub.add_argument("--ideal", required=True, help="bracket list of monomials")
     sub.add_argument("--tmax", required=True, help="upper bound for the jumps")
-    _add_json_flag(sub)
 
     sub = subs.add_parser("restrict-check", help="compare both sides of the restriction identity")
     _add_ring_flags(sub)
     sub.add_argument("--hyperplane", required=True, help="coordinate variable cut out, e.g. x")
     sub.add_argument("--divisor", help="the divisor B away from the hyperplane")
     _add_budget_flags(sub)
-    _add_json_flag(sub)
 
     _add_triple_command(subs, "fpure", "sharp F-purity of a triple")
     _add_triple_command(subs, "fregular", "strong F-regularity of a triple")
@@ -409,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--probe", type=int, help="override the probe depth")
     sub.add_argument("--nmax", type=int, help="override the iteration bound")
     sub.add_argument("--window", type=int, help="override the stability window")
-    _add_json_flag(sub)
-
+    for sub in subs.choices.values():  # --json is the last flag of every subcommand
+        sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     return parser
 
 
@@ -452,7 +434,7 @@ def _cmd_sigma(args):
     ring = _build_ring(args)
     result = sigma(_triple_from_args(args, ring), _budget_opts(args))
     lines = [
-        f"sigma = {format_ideal(result.ideal)}",
+        f"sigma = {result.ideal}",
         f"n = {result.iterations}  e_max = {result.e_max_used}  probe_stable = {_yes(result.probe_stable)}",
     ]
     return (
@@ -465,7 +447,7 @@ def _cmd_sigma(args):
 def _cmd_tau(args):
     ring = _build_ring(args)
     ideal = tau_b(_triple_from_args(args, ring), _budget_opts(args))
-    return [f"tau_b = {format_ideal(ideal)}"], {"generators": ideal_generator_strings(ideal)}, _diagnostics()
+    return [f"tau_b = {ideal}"], {"generators": ideal_generator_strings(ideal)}, _diagnostics()
 
 
 def _cmd_froot(args):
@@ -473,7 +455,7 @@ def _cmd_froot(args):
     if args.e < 0:
         raise ParseError("--e must be nonnegative")
     root = frobenius_root(Ideal(ring, parse_polynomial_list(args.ideal, ring)), args.e)
-    return [f"root = {format_ideal(root)}"], {"generators": ideal_generator_strings(root)}, _diagnostics(e_max=args.e)
+    return [f"root = {root}"], {"generators": ideal_generator_strings(root)}, _diagnostics(e_max=args.e)
 
 
 def _cmd_newton(args):
@@ -485,13 +467,13 @@ def _cmd_newton(args):
 
 
 def _cmd_lct(args):
-    value = format_fraction(lct_monomial(parse_monomial_ideal(args.ideal, _split_vars(args.vars))))
+    value = str(lct_monomial(parse_monomial_ideal(args.ideal, _split_vars(args.vars))))
     return [value], {"value": value}, _diagnostics()
 
 
 def _cmd_jumps(args):
     a = parse_monomial_ideal(args.ideal, _split_vars(args.vars))
-    values = [format_fraction(v) for v in jumping_candidates(a, parse_rational(args.tmax))]
+    values = [str(v) for v in jumping_candidates(a, parse_rational(args.tmax))]
     return [f"jumps = {', '.join(values) or '(none)'}"], {"values": values}, _diagnostics()
 
 
@@ -502,8 +484,8 @@ def _cmd_restrict_check(args):
     report = check_restriction(RestrictionProblem(ring, k, B, _budget_opts(args)))
     verdict = "EQUAL" if report.equal else "MISMATCH"
     lines = [
-        f"sigma_ambient = {format_ideal(report.ambient)}",
-        f"lhs = {format_ideal(report.lhs)}, rhs = {format_ideal(report.rhs)}, {verdict}",
+        f"sigma_ambient = {report.ambient}",
+        f"lhs = {report.lhs}, rhs = {report.rhs}, {verdict}",
     ]
     if not report.equal:
         lines.append("MISMATCH: the two sides differ; the identity fails here")
@@ -533,7 +515,7 @@ def _cmd_compare_monomial(args):
     a = parse_monomial_ideal(args.ideal, names)
     report = verify_monomial_theorem(a, parse_rational(args.t), args.prime, variables=names, opts=_budget_opts(args))
     lines = [
-        f"sigma = {format_ideal(report.ideal)}",
+        f"sigma = {report.ideal}",
         f"newton = {format_monomial_ideal(report.newton, names)}",
         f"equal = {_yes(report.equal)}",
     ]

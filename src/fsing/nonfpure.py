@@ -39,21 +39,23 @@ lane owns its caches, the cached step, the tail sums and the probe:
   across generators and levels, and each minimal key is walked once per
   triple by ``newton._lattice_walk``, so no closure power is materialized.
 
-The ascending test-ideal sum of a divisor-free triple also stays on
-exponent antichains: its level e is the root (a^n)^{[1/p^e]} of a plain
-power, n = ceil(t p^e), taken one base-p digit of n at a time through
-a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]} over digit vectors d
-(``monomial_power_root``), so a^n is never expanded.
+A lane also supplies the ascending test-ideal summands (``ascend``); the
+lattice lane keeps them on exponent antichains, with no Newton hull: level
+e is the root (a^n)^{[1/p^e]} of a plain power, n = ceil(t p^e), taken one
+base-p digit of n at a time through a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]}
+over digit vectors d (``monomial_power_root``), so a^n is never expanded.
 
 The descending chain, the Cartier chain and the ascending test-ideal sum
-all run on one driver, ``_stabilize``, which iterates until a window of
-consecutive repeats; each caller keeps its own failure message.
+all run on one driver, ``_stabilize``, over the lane ``_lane`` picks; it
+iterates until a window of consecutive repeats, and each caller keeps its
+own failure message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import mul
@@ -217,10 +219,9 @@ def _stabilize(
     window: int,
     n_max: int,
     failure: str,
-    start: int = 0,
     stop: Callable[[_State], bool] | None = None,
 ) -> tuple[_State, int, int]:
-    """Iterate x_n = advance(x_{n-1}, n) from x_start = ``x`` for n up to
+    """Iterate x_n = advance(x_{n-1}, n) from x_0 = ``x`` for n up to
     ``n_max``, until ``window`` consecutive x_n equal x_{n-1} or ``stop(x_n)``
     holds.
 
@@ -228,8 +229,8 @@ def _stabilize(
     run of equal values.  Raises NonconvergenceError(failure) when n_max
     comes first.
     """
-    stable, first = 0, start
-    for n in range(start + 1, n_max + 1):
+    stable, first = 0, 0
+    for n in range(1, n_max + 1):
         new = advance(x, n)
         if new == x:
             stable += 1
@@ -246,8 +247,8 @@ class _Lane:
     cached per state, and the largest level evaluated, ``max_e_used``.
 
     A lane supplies ``unit``, ``key``, ``_summand`` (the level-e summand of a
-    state), ``join`` (the sum of summands), ``contains`` and ``to_ideal``;
-    both lanes give the same ideals.
+    state), ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
+    summands), ``contains`` and ``to_ideal``; both lanes give the same ideals.
     """
 
     def __init__(self, triple: Triple, opts: SigmaOptions):
@@ -314,6 +315,13 @@ class _PolynomialLane(_Lane):
             self._closure[e] = integral_closure_power(a, _ceil_mul(self.triple.t, q1))
         return self.root(J, self._closure.get(e), [_ceil_mul(c, q1) for c, _ in self.triple.divisor], e)
 
+    def ascend(self, e: int) -> Ideal:
+        """``root`` of prod_i f_i^{ceil(t_i p^e)} * a^{ceil(t p^e)}, the power of a
+        folded in before the first digit."""
+        a, q = self.triple.a, self.ring.p**e
+        extra = a.power(_ceil_mul(self.triple.t, q)) if a is not None else None
+        return self.root(self.unit, extra, [_ceil_mul(c, q) for c, _ in self.triple.divisor], e)
+
     def join(self, levels: Iterable[Ideal]) -> Ideal:
         return Ideal(self.ring, [g for term in levels for g in term.generators])
 
@@ -342,10 +350,13 @@ class _LatticeLane(_Lane):
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
-        hull = newton_hull(triple.a)
-        self._facets = hull.facets
-        self._prefix_max = [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
+
+    @cached_property
+    def _hull(self) -> tuple[tuple[tuple[Exponent, int], ...], list[int]]:
+        """The facets of P(a) and the prefix maxima of its generators, built on first use."""
+        hull = newton_hull(self.triple.a)
+        return hull.facets, [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
 
     @staticmethod
     def key(state: tuple[Exponent, ...]):
@@ -355,14 +366,21 @@ class _LatticeLane(_Lane):
         """The region keys of level e from ``state``, each with its prefix box."""
         q = self.ring.p**e
         N = _ceil_mul(self.triple.t, q - 1)
+        facets, prefix_max = self._hull
         regions: _Regions = {}
         for g in state:
             base = [q - 1 - gi for gi in g]
             lb = [max(0, ceil_div(-b, q)) for b in base]
-            key = (*lb, *(ceil_div(N * c - sum(map(mul, v, base)), q) for v, c in self._facets))
+            key = (*lb, *(ceil_div(N * c - sum(map(mul, v, base)), q) for v, c in facets))
             if key not in regions:
-                regions[key] = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, self._prefix_max, base)]
+                regions[key] = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, prefix_max, base)]
         return regions
+
+    def ascend(self, e: int) -> tuple[Exponent, ...]:
+        """(a^{ceil(t p^e)})^{[1/p^e]} by ``monomial_power_root``, one base-p digit
+        of the exponent at a time, so the plain power is never expanded."""
+        p = self.ring.p
+        return monomial_power_root(self.triple.a, _ceil_mul(self.triple.t, p**e), e, p).generators
 
     def _points(self, levels: Iterable[_Regions]) -> Iterator[list[Exponent]]:
         """Walks of the minimal region keys over ``levels``, lazily, each memoised."""
@@ -373,7 +391,7 @@ class _LatticeLane(_Lane):
         n = self.ring.nvars
         for key in exponent_antichain(boxes):
             if key not in self._walks:
-                self._walks[key] = _lattice_walk(zip((v for v, _ in self._facets), key[n:]), key[:n], boxes[key])
+                self._walks[key] = _lattice_walk(zip((v for v, _ in self._hull[0]), key[n:]), key[:n], boxes[key])
             yield self._walks[key]
 
     def join(self, levels: Iterable[_Regions]) -> tuple[Exponent, ...]:
@@ -473,20 +491,16 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
     e0 = cartier_period(T)
     if e0 is None:
         raise ValueError("no Cartier period: p divides a coefficient denominator or the bound is exceeded")
-    lane = _PolynomialLane(T, opts)
-
-    def member(l: int) -> Ideal:
-        return lane.level(lane.unit, l * e0)
-
+    lane = _lane(T, opts)
+    # no member equals None, so the first one counts as growth from None
     current, l, first = _stabilize(
-        lambda _, l: member(l),
-        member(1),
+        lambda _, l: lane.level(lane.unit, l * e0),
+        None,
         opts.window,
         opts.n_max,
         f"Cartier chain did not stabilize within {opts.n_max} members (window {opts.window})",
-        start=1,
     )
-    probe_ok = all(member(k) == current for k in range(l + 1, l + 1 + opts.probe))
+    probe_ok = all(lane.level(lane.unit, k * e0) == current for k in range(l + 1, l + 1 + opts.probe))
     return SigmaResult(current, first, lane.max_e_used, probe_ok)
 
 
@@ -498,13 +512,13 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     (ceil(t p^{e+1}) <= p * ceil(t p^e) pushes each term into the next), so
     the sum over levels 1..e is the e-th summand and no sum is formed; the
     loop short-circuits on reaching the unit ideal, and exhausting n_max
-    first raises instead of returning a too-small ideal.  Divisor-free
-    triples stay on monomial ideals, held as exponent antichains: each
-    summand is ``monomial_power_root``, which takes the root one base-p
-    digit of the exponent at a time, so a^{ceil(t p^e)} is never expanded,
-    and the value becomes an Ideal once at the end.  Otherwise the summand
-    is ``_PolynomialLane.root``, digit by digit in the f_i exponents, with
-    the power of a folded in before the first digit.
+    first raises instead of returning a too-small ideal.  Each summand is
+    ``ascend`` of the lane ``_lane`` picks.  Divisor-free triples stay on
+    exponent antichains: the lattice lane takes the root one base-p digit of
+    the exponent at a time (``monomial_power_root``), so a^{ceil(t p^e)} is
+    never expanded, and the value becomes an Ideal once at the end.
+    Otherwise the polynomial lane goes digit by digit in the f_i exponents,
+    with the power of a folded in before the first digit.
 
     Stabilization is declared after a window of no-growth levels, widened
     to outlast the ceiling transients: the exponents ceil(t p^e) settle
@@ -515,37 +529,23 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     least v plus that period.
     """
     opts = opts or SigmaOptions()
-    ring = T.ring
-    p = ring.p
+    p = T.ring.p
     L, v = denominator_lcm(T), 0
     while L % p == 0:
         L //= p
         v += 1
     window = max(opts.window, v + _order_mod(p, L, L))
-
-    if T.a is not None and not T.divisor:
-
-        def level(e: int) -> MonomialIdeal:
-            return monomial_power_root(T.a, _ceil_mul(T.t, p**e), e, p)
-
-    else:
-        lane = _PolynomialLane(T, opts)
-
-        def level(e: int) -> Ideal:
-            q = p**e
-            extra = T.a.power(_ceil_mul(T.t, q)) if T.a is not None else None
-            return lane.root(lane.unit, extra, [_ceil_mul(coef, q) for coef, _ in T.divisor], e)
-
+    lane = _lane(T, opts)
     # no summand is the zero ideal, so the first one counts as growth from None
     total, _, _ = _stabilize(
-        lambda _, e: level(e),
+        lambda _, e: lane.ascend(e),
         None,
         window,
         opts.n_max,
         f"test-ideal sum did not stabilize within {opts.n_max} levels (window {window})",
-        stop=lambda total: total.is_unit(),
+        stop=lambda total: total == lane.unit,
     )
-    return total.to_ideal(ring) if isinstance(total, MonomialIdeal) else total
+    return lane.to_ideal(total)
 
 
 def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:

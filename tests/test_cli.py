@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from fsing import MonomialIdeal, MonomialOrder, PolyRing, newton_ideal
 from fsing.cli import (
-    format_ideal,
     ideal_generator_strings,
     parse_divisor,
     parse_monomial_ideal,
@@ -82,6 +81,11 @@ class TestPolynomialParsing:
         R = PolyRing(5, ["x"])
         with pytest.raises(ParseError):
             parse_polynomial("x^1000001", R)
+        # the error points at the exponent, not at the end of the input
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("(x^2000000 + 1) * x", R)
+        assert (info.value.line, info.value.column) == (1, 4)
+        assert str(info.value) == "exponent 2000000 exceeds the cap 1000000 (line 1, column 4)"
 
     def test_empty_rejected(self):
         R = PolyRing(5, ["x"])
@@ -133,9 +137,9 @@ class TestFormatting:
         R = PolyRing(5, ["x", "y"])
         from fsing import Ideal
 
-        assert format_ideal(Ideal(R, [R.variable(0), R.variable(1)])) == "(x, y)"
-        assert format_ideal(Ideal.unit(R)) == "(1)"
-        assert format_ideal(Ideal.zero(R)) == "(0)"
+        assert str(Ideal(R, [R.variable(0), R.variable(1)])) == "(x, y)"
+        assert str(Ideal.unit(R)) == "(1)"
+        assert str(Ideal.zero(R)) == "(0)"
 
 
 class TestCommands:

@@ -34,7 +34,7 @@ from fsing import (
 )
 from fsing.errors import DegreeGuardError, NonconvergenceError
 from fsing.nonfpure import _LatticeLane, _PolynomialLane, _ceil_mul
-from fsing.ring import exponent_antichain
+from fsing.ring import exponent_antichain, monomial_divides
 
 from oracles import random_monomial_gens, random_poly_terms
 
@@ -499,16 +499,49 @@ class TestTau:
                 mixed += 1
             T = Triple(R, random_divisor(rng, R), a, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
             lane = _PolynomialLane(T, SigmaOptions())
-
-            def summand(e: int) -> Ideal:
-                q = p**e
-                extra = None if a is None else a.power(_ceil_mul(T.t, q))
-                return lane.root(lane.unit, extra, [_ceil_mul(c, q) for c, _ in T.divisor], e)
-
-            terms = [summand(e) for e in range(1, 5)]
+            terms = [lane.ascend(e) for e in range(1, 5)]
             for lower, upper in zip(terms, terms[1:]):
                 assert upper.contains_ideal(lower), T
         assert 0 < mixed < 60
+
+    def test_lattice_summands_ascend(self, monkeypatch):
+        # on divisor-free pairs too, and tau_b returns the last summand taken
+        ascend, ascended = _LatticeLane.ascend, []
+
+        def recorded(lane, e):
+            ascended.append(ascend(lane, e))
+            return ascended[-1]
+
+        monkeypatch.setattr(_LatticeLane, "ascend", recorded)
+        rng = random.Random(6211)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            nvars = rng.randint(1, 3)
+            R = PolyRing(p, ["x", "y", "z"][:nvars])
+            a = MonomialIdeal(nvars, random_monomial_gens(rng, nvars, rng.randint(1, 3), 4))
+            T = Triple(R, a=a, t=Fraction(rng.randint(1, 8), rng.randint(1, 4)))
+            lane = _LatticeLane(T, SigmaOptions())
+            terms = [MonomialIdeal(nvars, ascend(lane, e)) for e in range(1, 5)]
+            for lower, upper in zip(terms, terms[1:]):
+                assert all(any(monomial_divides(h, w) for h in upper.generators) for w in lower.generators), T
+            ascended.clear()
+            assert tau_b(T) == lane.to_ideal(ascended[-1]), T
+
+    def test_lattice_tau_builds_no_hull(self, monkeypatch):
+        # divisor-free tau_b takes plain-power roots only; the Newton hull is
+        # built on first use by the descending chain, never here
+        pairs = [
+            (PolyRing(5, ["x", "y", "z"]), MonomialIdeal(3, [(1, 2, 0), (4, 0, 4), (0, 4, 1)]), Fraction(7, 4)),
+            (PolyRing(3, ["x", "y"]), MonomialIdeal(2, [(2, 0), (0, 3)]), Fraction(5, 6)),
+        ]
+        wants = [newton_ideal(a, t, "interior").to_ideal(R) for R, a, t in pairs]
+
+        def refuse(a):
+            raise AssertionError("divisor-free tau_b built a Newton hull")
+
+        monkeypatch.setattr(fsing.nonfpure, "newton_hull", refuse)
+        for (R, a, t), want in zip(pairs, wants):
+            assert tau_b(Triple(R, a=a, t=t)) == want
 
     def test_fregular_iff_tau_unit(self):
         assert is_strongly_fregular(cusp_triple(5, Fraction(1, 2)))
