@@ -275,12 +275,8 @@ def ideal_generator_strings(I: Ideal) -> list[str]:
 
 
 def _monomial_strings(a: MonomialIdeal, names: tuple[str, ...]) -> list[str]:
-    key = MonomialOrder().key
-    out = []
-    for exp in sorted(a.generators, key=key, reverse=True):
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
-        out.append("*".join(factors) if factors else "1")
-    return out
+    ring = PolyRing(_CHAR_FREE_PRIME, names)
+    return [str(Polynomial(ring, {g: 1})) for g in sorted(a.generators, key=ring.order.key, reverse=True)]
 
 
 def format_monomial_ideal(a: MonomialIdeal, names: tuple[str, ...]) -> str:

@@ -12,10 +12,11 @@ class RingMismatchError(FsingError):
 class DegreeGuardError(FsingError):
     """A resource guard tripped instead of letting a computation grow without bound.
 
-    The message names the knob that raises the limit: ``max_degree`` or
-    ``max_basis`` (Groebner bases), ``newton.MAX_BOX_POINTS`` (lattice walks)
-    or ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers).  The caller
-    can retry with a larger limit if the input is trusted.
+    The message names the module constant that sets the limit:
+    ``groebner.MAX_DEGREE`` or ``groebner.MAX_BASIS`` (Groebner bases),
+    ``newton.MAX_BOX_POINTS`` (lattice walks) or
+    ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers).  The guard reads
+    it when it runs, so a caller that trusts the input can raise it and retry.
     """
 
 

@@ -21,6 +21,7 @@ powers a^n of monomial ideals are taken the same way on exponent antichains.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, prod
 from typing import Iterable
 
@@ -228,7 +229,5 @@ def monomial_power_root(a: MonomialIdeal, n: int, e: int, p: int) -> MonomialIde
                     tuple((x + y) // p for x, y in zip(h, w)) for h in S for w in products
                 )
         state = {m: exponent_antichain(points) for m, points in grown.items()}
-    total = MonomialIdeal.zero(a.nvars)
-    for m, S in sorted(state.items()):
-        total = total + MonomialIdeal(a.nvars, S) * a.power(m)
-    return total
+    products = (MonomialIdeal(a.nvars, S) * a.power(m) for m, S in state.items())
+    return MonomialIdeal(a.nvars, chain.from_iterable(b.generators for b in products))

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 from .errors import DegreeGuardError, RingMismatchError
 from .ring import Exponent, Polynomial, PolyRing, exponent_antichain, monomial_divides
 
-DEFAULT_MAX_BASIS = 500
-DEFAULT_MAX_DEGREE = 50_000
+MAX_BASIS = 500
+MAX_DEGREE = 50_000
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
@@ -144,12 +144,7 @@ def _gebauer_moller(leads: list[Exponent], active: list[int], pairs: list, keyfn
     return [i for i in active if not monomial_divides(h, leads[i])] + [k]
 
 
-def _buchberger(
-    ring: PolyRing,
-    generators: Sequence[Polynomial],
-    max_basis: int,
-    max_degree: int,
-) -> list[Polynomial]:
+def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polynomial]:
     keyfn = ring.order.key
     seeds = sorted(
         {g.monic() for g in generators if not g.is_zero()},
@@ -174,14 +169,14 @@ def _buchberger(
         remainder = normal_form(_spolynomial(basis[i], basis[j], lcm), reducers)
         if remainder.is_zero():
             continue
-        if remainder.total_degree() > max_degree:
+        if remainder.total_degree() > MAX_DEGREE:
             raise DegreeGuardError(
-                f"basis element degree {remainder.total_degree()} exceeds cap max_degree = {max_degree}"
+                f"basis element degree {remainder.total_degree()} exceeds cap groebner.MAX_DEGREE = {MAX_DEGREE}"
             )
         basis.append(remainder.monic())
         active = _gebauer_moller(leads, active, pairs, keyfn, basis[-1].leading_exponent())
-        if len(active) > max_basis:
-            raise DegreeGuardError(f"basis size exceeds cap max_basis = {max_basis}")
+        if len(active) > MAX_BASIS:
+            raise DegreeGuardError(f"basis size exceeds cap groebner.MAX_BASIS = {MAX_BASIS}")
     return [basis[k] for k in active]
 
 
@@ -235,13 +230,9 @@ class Ideal:
     def zero(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, [])
 
-    def groebner_basis(
-        self,
-        max_basis: int = DEFAULT_MAX_BASIS,
-        max_degree: int = DEFAULT_MAX_DEGREE,
-    ) -> GroebnerBasis:
+    def groebner_basis(self) -> GroebnerBasis:
         if self._basis is None:
-            raw = _buchberger(self.ring, self.generators, max_basis, max_degree)
+            raw = _buchberger(self.ring, self.generators)
             self._basis = GroebnerBasis(self.ring, _reduce_basis(self.ring, raw))
         return self._basis
 
@@ -283,7 +274,7 @@ class Ideal:
     def image_in_quotient(self, k: int) -> "Ideal":
         """The image ideal in F_p[remaining variables] under x_k -> 0."""
         target = self.ring.drop_variable(k)
-        return Ideal(target, [h for g in self.generators if not (h := g.substitute_zero(k)).is_zero()])
+        return Ideal(target, [g.substitute_zero(k) for g in self.generators])
 
     # -- comparison and display -------------------------------------------------
 

@@ -288,10 +288,8 @@ def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "cl
     t = Fraction(t)
     if t <= 0:
         raise ValueError("exponent t must be positive")
-    if a.is_unit():
-        return a  # P is the whole orthant; every v + 1 is interior
-    if a.is_zero():
-        return a  # P is empty
+    if not a.is_proper():
+        return a  # P is the whole orthant (every v + 1 is interior) or empty
     return MonomialIdeal(a.nvars, _newton_walk(newton_hull(a), t, mode))
 
 

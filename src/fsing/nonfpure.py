@@ -70,6 +70,8 @@ from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, 
 _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
 
+MAX_CARTIER_PERIOD = 12
+
 
 def _ceil_mul(t: Fraction, m: int) -> int:
     """ceil(t * m) for t >= 0, m >= 0."""
@@ -464,18 +466,16 @@ def denominator_lcm(T: Triple) -> int:
     return lcm(*dens)
 
 
-def cartier_period(T: Triple, bound: int = 12) -> int | None:
+def cartier_period(T: Triple) -> int | None:
     """Least e with (p^e - 1) clearing every coefficient denominator.
 
     None when p divides one of the reduced denominators (no such e exists)
-    or when the least e exceeds ``bound``.
+    or when the least e exceeds ``MAX_CARTIER_PERIOD``.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
     L = denominator_lcm(T)
     if L % T.ring.p == 0:
         return None
-    return _order_mod(T.ring.p, L, bound)
+    return _order_mod(T.ring.p, L, MAX_CARTIER_PERIOD)
 
 
 def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
@@ -490,7 +490,10 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
         raise ValueError("the fast Cartier chain requires a divisor-only triple")
     e0 = cartier_period(T)
     if e0 is None:
-        raise ValueError("no Cartier period: p divides a coefficient denominator or the bound is exceeded")
+        raise ValueError(
+            "no Cartier period: p divides a coefficient denominator "
+            f"or the period exceeds nonfpure.MAX_CARTIER_PERIOD = {MAX_CARTIER_PERIOD}"
+        )
     lane = _lane(T, opts)
     # no member equals None, so the first one counts as growth from None
     current, l, first = _stabilize(

@@ -1,4 +1,4 @@
-"""Prime fields and sparse multivariate polynomials over F_p.
+"""Sparse multivariate polynomials over a prime field F_p.
 
 Coefficients are plain integer residues in [0, p); products of residues fit
 in Python ints, so all arithmetic is exact.  Polynomials are immutable once
@@ -71,36 +71,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The field F_p for a prime 2 <= p <= 2^31 - 1."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"characteristic must be an int, got {type(p).__name__}")
-        if not 2 <= p <= MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic must lie in [2, 2^31 - 1], got {p}")
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        self.p = p
-
-    def inverse(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
 class MonomialOrder:
     """A monomial order on exponent vectors: 'grevlex' (default) or 'lex'.
 
@@ -140,19 +110,23 @@ class MonomialOrder:
 
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed monomial order."""
+    """F_p[x_1, ..., x_n] for a prime 2 <= p <= 2^31 - 1, with a fixed monomial order."""
 
-    __slots__ = ("field", "variables", "order", "_struct")
+    __slots__ = ("p", "variables", "order", "_struct")
 
     def __init__(
         self,
-        field: PrimeField | int,
+        p: int,
         variables: Iterable[str],
         order: MonomialOrder | str | None = None,
     ):
-        if isinstance(field, int):
-            field = PrimeField(field)
-        self.field = field
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"characteristic must be an int, got {type(p).__name__}")
+        if not 2 <= p <= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic must lie in [2, 2^31 - 1], got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
+        self.p = p
         names = tuple(variables)
         if not names:
             raise ValueError("a polynomial ring needs at least one variable")
@@ -167,11 +141,7 @@ class PolyRing:
         elif isinstance(order, str):
             order = MonomialOrder(order)
         self.order = order
-        self._struct = (field.p, names, order.kind)
-
-    @property
-    def p(self) -> int:
-        return self.field.p
+        self._struct = (p, names, order.kind)
 
     @property
     def nvars(self) -> int:
@@ -231,7 +201,7 @@ class PolyRing:
         if not 0 <= k < self.nvars:
             raise ValueError(f"variable index {k} out of range")
         names = self.variables[:k] + self.variables[k + 1 :]
-        return PolyRing(self.field, names, self.order)
+        return PolyRing(self.p, names, self.order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and other._struct == self._struct
@@ -302,8 +272,8 @@ class Polynomial:
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        inv = self.ring.field.inverse(lc)
         p = self.ring.p
+        inv = pow(lc, p - 2, p)
         return Polynomial(self.ring, {e: (c * inv) % p for e, c in self.terms.items()}, self._lead)
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
@@ -418,18 +388,8 @@ class Polynomial:
     def substitute_zero(self, k: int) -> "Polynomial":
         """The image of f in F_p[remaining variables] under x_k -> 0."""
         target = self.ring.drop_variable(k)
-        p = self.ring.p
-        out: dict[Exponent, int] = {}
-        for exp, c in self.terms.items():
-            if exp[k]:
-                continue
-            e = exp[:k] + exp[k + 1 :]
-            nc = (out.get(e, 0) + c) % p
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-        return Polynomial(target, out)
+        # terms with x_k absent differ off coordinate k, so none merge
+        return Polynomial(target, {exp[:k] + exp[k + 1 :]: c for exp, c in self.terms.items() if not exp[k]})
 
     # -- comparison and display --------------------------------------------
 

@@ -373,6 +373,15 @@ def _readme_examples() -> list[tuple[list[str], str]]:
     return examples
 
 
+def _readme_quick_start() -> tuple[str, str]:
+    """The README's ``python`` block and the ``# ...`` comments of its print
+    lines, one line each: the output the block should print."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.rsplit("# ", 1)[1] + "\n" for line in code.splitlines() if line.startswith("print(")]
+    return code, "".join(comments)
+
+
 # --json output of every subcommand and the stderr of exit-1 and exit-2
 # cases; a difference here is a change to the CLI's output contract
 _GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
@@ -388,6 +397,14 @@ class TestGoldens:
         }
         for argv, expected in examples:
             assert invoke(capsys, *argv) == (0, expected, ""), argv
+
+    def test_readme_quick_start(self):
+        code, expected = _readme_quick_start()
+        assert expected.count("\n") == 4
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(code, {})
+        assert out.getvalue() == expected
 
     @pytest.mark.parametrize("case", _GOLDENS, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(_GOLDENS)])
     def test_recorded(self, case, capsys):

@@ -411,7 +411,7 @@ class TestTails:
 
 
 class TestCartier:
-    def test_period_values(self):
+    def test_period_values(self, monkeypatch):
         R5 = PolyRing(5, ["x", "y"])
         f5 = R5.variable(0) ** 3 - R5.variable(1) ** 2
         assert cartier_period(Triple(R5, QDivisor([(Fraction(5, 6), f5)]))) == 2
@@ -422,7 +422,8 @@ class TestCartier:
         R2 = PolyRing(2, ["x", "y"])
         f2 = R2.variable(0) ** 3 - R2.variable(1) ** 2
         assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)]))) is None
-        assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), bound=25) == 20
+        monkeypatch.setattr(fsing.nonfpure, "MAX_CARTIER_PERIOD", 25)
+        assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)]))) == 20
 
     def test_fast_chain_matches_sigma_on_cusp(self):
         for p in (2, 3, 5):
