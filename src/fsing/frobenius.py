@@ -221,7 +221,7 @@ def monomial_power_root(a: MonomialIdeal, n: int, e: int, p: int) -> MonomialIde
             if count > MAX_DIGIT_VECTORS:
                 raise DegreeGuardError(
                     f"root of a plain power needs {count} digit vectors, "
-                    f"more than MAX_DIGIT_VECTORS = {MAX_DIGIT_VECTORS}"
+                    f"more than frobenius.MAX_DIGIT_VECTORS = {MAX_DIGIT_VECTORS}"
                 )
             for s in sums:
                 products = _digit_products(gens, p, s)

@@ -11,9 +11,9 @@ order and pops the largest one per step.  The reduced monic Groebner basis
 is the canonical form: two ideals are equal iff their reduced bases
 coincide, so every result in this package is reproducible run to run.
 
-Monomial input is recognized and short-circuited: the reduced basis of a
-monomial ideal is the divisibility antichain of its generators, with no
-S-pairs and no tail reduction.
+Monomial input skips Buchberger: its monic generators go straight to the
+reduction, whose minimal-lead filter leaves the divisibility antichain, with
+no S-pairs and no tail reduction.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
     if not seeds:
         return []
     if all(g.is_monomial() for g in seeds):
-        lead = exponent_antichain(g.leading_exponent() for g in seeds)
-        return [Polynomial(ring, {e: 1}) for e in lead]
+        return seeds
 
     basis: list[Polynomial] = []
     leads: list[Exponent] = []
@@ -181,24 +180,17 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
 
 
 def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
-    if not basis:
-        return ()
-    keyfn = ring.order.key
-    # minimal: keep an antichain of leading terms (ascending scan, so any
-    # divisor is already present when its multiples arrive)
-    ordered = sorted(basis, key=lambda g: (keyfn(g.leading_exponent()), g.canonical_key()))
-    minimal: list[Polynomial] = []
-    for g in ordered:
-        le = g.leading_exponent()
-        if not any(monomial_divides(m.leading_exponent(), le) for m in minimal):
-            minimal.append(g)
+    # minimal: one element per minimal leading exponent; any element with
+    # that lead will do, as tail reduction makes it the reduced one
+    by_lead = {g.leading_exponent(): g for g in basis}
+    minimal = [by_lead[e] for e in exponent_antichain(by_lead)]
     # tail-reduce; leading terms are untouched (antichain), so one pass is
     # enough: a tail reduced against the other leads stays reduced.  A
     # monomial has no tail, so a monomial basis is already reduced.
     for idx, g in enumerate(minimal):
         if not g.is_monomial():
             minimal[idx] = normal_form(g, GroebnerBasis(ring, tuple(minimal[:idx] + minimal[idx + 1 :])))
-    minimal.sort(key=lambda g: keyfn(g.leading_exponent()), reverse=True)
+    minimal.sort(key=lambda g: ring.order.key(g.leading_exponent()), reverse=True)
     return tuple(minimal)
 
 

@@ -232,7 +232,7 @@ def _box_guard(bounds: Sequence[int]) -> None:
         volume *= b + 1
         if volume > MAX_BOX_POINTS:
             raise DegreeGuardError(
-                f"lattice box larger than MAX_BOX_POINTS = {MAX_BOX_POINTS} points; refusing to enumerate"
+                f"lattice box larger than newton.MAX_BOX_POINTS = {MAX_BOX_POINTS} points; refusing to enumerate"
             )
 
 

@@ -65,7 +65,7 @@ from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
 from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton_hull, newton_ideal
-from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain
 
 _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
@@ -400,7 +400,7 @@ class _LatticeLane(_Lane):
         return exponent_antichain(chain.from_iterable(self._points(levels)))
 
     def contains(self, state: tuple[Exponent, ...], level: _Regions) -> bool:
-        return all(any(monomial_divides(h, w) for h in state) for points in self._points([level]) for w in points)
+        return exponent_antichain(chain(state, *self._points([level]))) == state
 
     def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
         return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)

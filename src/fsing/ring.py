@@ -9,6 +9,7 @@ object.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import cache
 from math import isqrt
 from operator import le
@@ -45,13 +46,34 @@ def square_multiply(base, n: int, one):
 
 
 def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Minimal elements of the up-set generated by ``points``, sorted."""
-    ordered = sorted(set(points), key=lambda e: (sum(e), e))
+    """Minimal elements of the up-set generated by ``points``, sorted.
+
+    One sweep in ascending lex order, in which every divisor of a point comes
+    before it.  Up to 3 variables (fewer are read with leading zeros) the
+    last two coordinates of the kept points form a staircase, ``ys``
+    ascending and ``zs`` strictly descending, so one bisection decides
+    whether a kept point divides the next (a dimension sweep,
+    Kung-Luccio-Preparata 1975); beyond 3 each point is compared with every
+    kept point.
+    """
     kept: list[Exponent] = []
-    for e in ordered:
-        if not any(monomial_divides(k, e) for k in kept):
-            kept.append(e)
-    return tuple(sorted(kept))
+    ys: list[int] = []
+    zs: list[int] = []
+    for e in sorted(set(points)):
+        if len(e) > 3:
+            if not any(monomial_divides(k, e) for k in kept):
+                kept.append(e)
+            continue
+        y, z = ((0, 0) + e)[-2:]
+        i = bisect_right(ys, y)
+        if i and zs[i - 1] <= z:
+            continue
+        j = i
+        while j < len(zs) and zs[j] >= z:
+            j += 1
+        ys[i:j], zs[i:j] = [y], [z]
+        kept.append(e)
+    return tuple(kept)
 
 
 @cache

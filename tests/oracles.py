@@ -117,6 +117,17 @@ def newton_ideal_oracle(gens: list[tuple], t: Fraction, mode: str, box: int = 40
     return tuple(sorted(minimal))
 
 
+# -- minimal elements ---------------------------------------------------------------
+
+
+def minimal_elements_oracle(points: list[tuple]) -> tuple:
+    """The distinct points that no other distinct point divides, sorted."""
+    distinct = set(points)
+    return tuple(sorted(
+        v for v in distinct if not any(u != v and all(x <= y for x, y in zip(u, v)) for u in distinct)
+    ))
+
+
 # -- Frobenius root certificates ---------------------------------------------------
 
 

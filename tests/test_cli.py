@@ -269,7 +269,7 @@ class TestExitCodes:
             capsys, "newton", "--vars", "x,y,z,w", "--ideal", "[x^200, y^200, z^200, w^200]", "--t", "1",
         )
         assert code == 2
-        assert "MAX_BOX_POINTS" in err
+        assert "newton.MAX_BOX_POINTS = 5000000 " in err
 
     def test_help_is_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
@@ -292,7 +292,7 @@ class TestExitCodes:
         )
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (2, "")
-        assert "MAX_DIGIT_VECTORS" in err
+        assert "frobenius.MAX_DIGIT_VECTORS = 50000" in err
 
     @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
     def test_froot_huge_level(self, capsys, ideal, root):

@@ -263,7 +263,7 @@ class TestMonomialPowerRoot:
     def test_digit_vector_cap(self):
         # every d with d_1 + d_2 = p is a digit vector of a^p at level 1
         a = MonomialIdeal(2, [(1, 1), (2, 0)])
-        with pytest.raises(DegreeGuardError, match="MAX_DIGIT_VECTORS"):
+        with pytest.raises(DegreeGuardError, match=r"frobenius\.MAX_DIGIT_VECTORS = 50000\Z"):
             monomial_power_root(a, 2147483647, 1, 2147483647)
 
     def test_rejects_bad_input(self):

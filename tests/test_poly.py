@@ -8,10 +8,10 @@ import pytest
 
 from fsing import Ideal, MonomialOrder, PolyRing, normal_form
 from fsing.errors import RingMismatchError
-from fsing.ring import _is_prime
+from fsing.ring import _is_prime, exponent_antichain
 
 from conftest import poly_from_dict, poly_to_dict
-from oracles import naive_add, naive_mul, naive_pow, random_poly_terms
+from oracles import minimal_elements_oracle, naive_add, naive_mul, naive_pow, random_poly_terms
 
 
 class TestPrimeField:
@@ -166,6 +166,32 @@ class TestArithmetic:
         assert R.zero().total_degree() == -1
         assert R.one().total_degree() == 0
         assert (R.variable(0) ** 2 * R.variable(1)).total_degree() == 3
+
+
+class TestExponentAntichain:
+    def test_matches_naive_minimal_elements(self):
+        # seed 12012, 1,500 draws of 0-5 variables: the staircase sweep up to
+        # 3 variables and the pairwise scan beyond it.  Coordinates come from
+        # small ranges, so ties on a coordinate are common; some draws repeat
+        # points and some are empty.  An iterator is passed, as callers pass
+        # generators.
+        rng = random.Random(12012)
+        seen = {"empty": 0, "duplicates": 0, "tie among kept": 0}
+        nvars_seen = set()
+        for _ in range(1500):
+            n = rng.randint(0, 5)
+            top = rng.choice([1, 3, 8])
+            points = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 25))]
+            points += rng.sample(points, min(len(points), rng.randint(0, 3)))
+            rng.shuffle(points)
+            want = minimal_elements_oracle(points)
+            assert exponent_antichain(iter(points)) == want, (n, points)
+            nvars_seen.add(n)
+            seen["empty"] += not points
+            seen["duplicates"] += len(set(points)) < len(points)
+            seen["tie among kept"] += any(u[i] == v[i] for u in want for v in want if u < v for i in range(n))
+        assert nvars_seen == set(range(6))
+        assert all(seen.values()), seen
 
 
 class TestOrders:

@@ -146,6 +146,18 @@ class TestMixedTriple:
         assert time.perf_counter() - start < 5.0
         assert sigma_step(result.ideal, T, opts) == result.ideal
 
+    def test_p7_row_at_three_levels(self):
+        # the same triple at p = 7, e_max = 3: the walks hold thousands of
+        # points, and a pairwise minimal-element filter took 52 s on them;
+        # the values below were recorded from that slow run
+        R = PolyRing(7, ["x", "y"])
+        x, y = R.variable(0), R.variable(1)
+        T = Triple(R, QDivisor([(Fraction(1, 2), x**3 - y**2)]), MonomialIdeal(2, [(2, 0), (0, 3)]), Fraction(1, 2))
+        start = time.perf_counter()
+        result = sigma(T, SigmaOptions(e_max=3))
+        assert time.perf_counter() - start < 10.0
+        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(1)", 0, 5, True)
+
 
 class TestFormalPowerSensitivity:
     @pytest.mark.parametrize("p", [2, 5])
