@@ -10,8 +10,10 @@ Membership tests, monomial-ideal extraction, integral-closure powers,
 log-canonical thresholds, and jumping-number candidates all reduce to
 integer comparisons against those facets.  Newton ideals, closure powers
 and the lattice lane of ``nonfpure`` come from one walker, ``_lattice_walk``,
-on integer rows <w, u> >= r; it closes each fiber over the first n - 1
-coordinates in closed form and refuses boxes past MAX_BOX_POINTS points.
+on integer rows <w, u> >= r with w >= 0; it closes each prefix over the
+first n - 1 coordinates in closed form, emits one staircase per fiber over
+the first n - 2 (a point only where the last coordinate strictly falls,
+stopping at its floor), and refuses boxes past MAX_BOX_POINTS points.
 """
 
 from __future__ import annotations
@@ -238,28 +240,43 @@ def _box_guard(bounds: Sequence[int]) -> None:
 
 def _lattice_walk(rows: Iterable[tuple[Exponent, int]], lb: Sequence[int], ub: Sequence[int]) -> list[Exponent]:
     """Members covering every minimal point of {u >= lb : <w, u> >= r for all
-    rows (w, r)}.
+    rows (w, r)}, as one staircase per fiber.
 
-    The walk scans the prefix box [lb, ub] over the first n - 1 coordinates
-    (``ub`` has n - 1 entries and must hold every minimal point's prefix)
-    and closes each fiber with the least feasible last coordinate.  The
-    output is not reduced to an antichain; walks of one row set over one box
-    list equal sets exactly when they list equal sequences.
+    ``ub`` has n - 1 entries and must hold every minimal point's prefix.  The
+    walk scans the box [lb, ub] over the first n - 2 coordinates (the outer
+    fibers) and, in each, the next coordinate y upwards, closing each prefix
+    with the least feasible last coordinate.  Every w is >= 0, so that least
+    only falls as y grows, and a row with w_last = 0 stays feasible once it
+    is; a point is emitted only where the least strictly falls, and the fiber
+    stops once it reaches lb[last].  So within one fiber the emitted last
+    coordinates strictly fall.  The output is not reduced to an antichain.
     """
     last = len(lb) - 1
     _box_guard([hi - lo for lo, hi in zip(lb, ub)])
-    split = [(w[:last], r, w[last]) for w, r in rows]
+    floor = lb[last]
+    if not last:  # one fiber: walk it as the lone prefix 0 of two coordinates
+        return [u[1:] for u in _lattice_walk([((0, *w), r) for w, r in rows], [0, floor], [0])]
+    mid = last - 1
+    split = [(w[:mid], r, w[mid], w[last]) for w, r in rows]
     out: list[Exponent] = []
-    for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(lb, ub))):
-        least = lb[last]
-        for coeffs, need, wl in split:
-            gap = need - sum(map(mul, coeffs, prefix))
-            if wl:
-                least = max(least, -(-gap // wl))
-            elif gap > 0:
-                break
-        else:
-            out.append(prefix + (least,))
+    for outer in product(*(range(lo, hi + 1) for lo, hi in zip(lb[:mid], ub[:mid]))):
+        partial = [(r - sum(map(mul, coeffs, outer)), wy, wl) for coeffs, r, wy, wl in split]
+        prev = None
+        for y in range(lb[mid], ub[mid] + 1):
+            least = floor
+            for need, wy, wl in partial:
+                gap = need - wy * y
+                if wl:
+                    if gap > wl * least:
+                        least = -(-gap // wl)
+                elif gap > 0:
+                    break
+            else:
+                if prev is None or least < prev:
+                    out.append((*outer, y, least))
+                    prev = least
+                    if least == floor:
+                        break
     return out
 
 
@@ -343,7 +360,9 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
             for wi in w
         ]
         _box_guard(bounds)
-        sums = {sum(wi * (x + 1) for wi, x in zip(w, v)) for v in product(*(range(b + 1) for b in bounds))}
+        sums = {0}
+        for wi, b in zip(w, bounds):
+            sums = {s + wi * k for s in sums for k in range(1, b + 2)}
         candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
     return tuple(t for t in sorted(candidates) if any(
         t.denominator * sum(wi * (x + 1) for wi, x in zip(w, v)) == t.numerator * c

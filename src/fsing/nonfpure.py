@@ -61,7 +61,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import NonconvergenceError
+from .errors import DegreeGuardError, NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
 from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton_hull, newton_ideal
@@ -71,6 +71,7 @@ _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
 
 MAX_CARTIER_PERIOD = 12
+MAX_MONOMIAL_PERIOD = 1024
 
 
 def _ceil_mul(t: Fraction, m: int) -> int:
@@ -346,13 +347,17 @@ class _LatticeLane(_Lane):
     r_v = ceil((N*c - <v, (q-1)*1 - g>)/q).  The key (lb, r) fixes the
     region whatever e is; a key that dominates another has a region inside
     the other's, so only minimal keys are walked, each over the prefix box
-    of the first g that produced it.
+    of the first g that produced it: u_i <= max(lb_i, ceil((N*m_i - q + 1 + g_i)/q)),
+    m_i the largest i-th exponent in a.  The lane takes the same integers in
+    floor form, lb_i = g_i // q, r_v = (N*c - (q-1)(|v| - 1) + <v, g>) // q and
+    (N*m_i + g_i) // q, from facet products <v, g> kept per generator.
     """
 
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
+        self._dots: dict[Exponent, list[int]] = {}
 
     @cached_property
     def _hull(self) -> tuple[tuple[tuple[Exponent, int], ...], list[int]]:
@@ -369,13 +374,14 @@ class _LatticeLane(_Lane):
         q = self.ring.p**e
         N = _ceil_mul(self.triple.t, q - 1)
         facets, prefix_max = self._hull
+        tops = [N * c - (q - 1) * (sum(v) - 1) for v, c in facets]
         regions: _Regions = {}
         for g in state:
-            base = [q - 1 - gi for gi in g]
-            lb = [max(0, ceil_div(-b, q)) for b in base]
-            key = (*lb, *(ceil_div(N * c - sum(map(mul, v, base)), q) for v, c in facets))
+            if g not in self._dots:
+                self._dots[g] = [sum(map(mul, v, g)) for v, _ in facets]
+            key = (*(gi // q for gi in g), *((top + d) // q for top, d in zip(tops, self._dots[g])))
             if key not in regions:
-                regions[key] = [max(lo, ceil_div(N * m - b, q)) for lo, m, b in zip(lb, prefix_max, base)]
+                regions[key] = [(N * m + gi) // q for m, gi in zip(prefix_max, g)]
         return regions
 
     def ascend(self, e: int) -> tuple[Exponent, ...]:
@@ -590,7 +596,8 @@ def verify_monomial_theorem(
     Requires gcd(p, den(t)) = 1.  The level budget defaults to a multiple
     of the order e0 of p modulo den(t) (the levels where t(p^e - 1) is
     integral, which drive the containment from the Newton side), and
-    doubles while the probe reports instability.
+    doubles while the probe reports instability; an e0 past
+    ``MAX_MONOMIAL_PERIOD`` raises DegreeGuardError before any level runs.
     """
     t = Fraction(t)
     if t <= 0:
@@ -599,7 +606,11 @@ def verify_monomial_theorem(
         raise ValueError("requires a proper nonzero monomial ideal")
     if t.denominator % p == 0:
         raise ValueError("the exponent denominator must be prime to p")
-    e0 = _order_mod(p, t.denominator, t.denominator)
+    e0 = _order_mod(p, t.denominator, MAX_MONOMIAL_PERIOD)
+    if e0 is None:
+        raise DegreeGuardError(
+            f"the order of p modulo den(t) exceeds nonfpure.MAX_MONOMIAL_PERIOD = {MAX_MONOMIAL_PERIOD} levels"
+        )
     if variables is None:
         variables = ("x", "y", "z", "w")[: a.nvars] if a.nvars <= 4 else tuple(
             f"x{i+1}" for i in range(a.nvars)

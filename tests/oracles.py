@@ -128,6 +128,16 @@ def minimal_elements_oracle(points: list[tuple]) -> tuple:
     ))
 
 
+def lattice_region_oracle(rows: list[tuple], lb: list[int], ub: list[int], top: int) -> tuple:
+    """Minimal members of {u >= lb : <w, u> >= r for all rows (w, r)} with the
+    prefix in the box [lb, ub] (``ub`` has len(lb) - 1 entries), by brute
+    force over last coordinates up to ``top``; ``top`` must be at least every
+    least feasible last coordinate in the box."""
+    box = [range(lo, hi + 1) for lo, hi in zip(lb, [*ub, top])]
+    members = [u for u in iproduct(*box) if all(sum(wi * ui for wi, ui in zip(w, u)) >= r for w, r in rows)]
+    return minimal_elements_oracle(members)
+
+
 # -- Frobenius root certificates ---------------------------------------------------
 
 

@@ -294,6 +294,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "frobenius.MAX_DIGIT_VECTORS = 50000" in err
 
+    def test_monomial_period_guard_is_two(self, capsys):
+        # ord(2 mod 1000003) = 1000002: the level budget started at 2000004
+        # levels and the run never finished
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "compare-monomial", "--prime", "2", "--vars", "x", "--ideal", "[x]", "--t", "1/1000003",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (code, out) == (2, "")
+        assert "nonfpure.MAX_MONOMIAL_PERIOD = 1024 " in err
+
     @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
     def test_froot_huge_level(self, capsys, ideal, root):
         # p^e is never formed past the largest exponent: the root of (x) at

@@ -19,10 +19,12 @@ from fsing import (
     newton_ideal,
 )
 from fsing.errors import DegreeGuardError
+from fsing.ring import exponent_antichain
 
 from oracles import (
     closed_member_oracle,
     interior_member_oracle,
+    lattice_region_oracle,
     newton_ideal_oracle,
     random_monomial_gens,
 )
@@ -330,6 +332,37 @@ class TestThresholds:
             below = [r for r in jumping_candidates(a, t) if r < t]
             gap = (t - below[-1]) / 2 if below else t / 2
             assert newton_ideal(a, t, "closed") == newton_ideal(a, t - gap, "interior")
+
+
+class TestLatticeWalk:
+    def test_staircase_matches_region_oracle(self):
+        # seeded rows <w, u> >= r with w >= 0 over boxes with lb > 0, in 1-4
+        # variables; zero coefficients are common, so rows with w_last = 0
+        # and r > 0 (feasible only past a prefix threshold) and empty regions
+        # both turn up
+        rng = random.Random(13013)
+        seen = {"empty": 0, "flat_last": 0}
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            rows = [
+                (tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)), rng.randint(-2, 14))
+                for _ in range(rng.randint(1, 4))
+            ]
+            lb = [rng.randint(1, 3) for _ in range(n)]
+            ub = [lo + rng.randint(0, (9, 6, 4)[min(n, 3) - 1]) for lo in lb[:-1]]
+            top = max(lb[-1], *(r for _, r in rows))
+            walk = fsing.newton._lattice_walk(rows, lb, ub)
+            want = lattice_region_oracle(rows, lb, ub, top)
+            assert exponent_antichain(walk) == want, (rows, lb, ub)
+            for u in walk:
+                assert all(lo <= x for lo, x in zip(lb, u)) and all(x <= hi for x, hi in zip(u, ub)), (rows, lb, ub, u)
+                assert all(sum(wi * x for wi, x in zip(w, u)) >= r for w, r in rows), (rows, lb, ub, u)
+            for u, v in zip(walk, walk[1:]):
+                if u[:-2] == v[:-2]:
+                    assert u[-2] < v[-2] and u[-1] > v[-1], (rows, lb, ub, walk)
+            seen["empty"] += not want
+            seen["flat_last"] += any(not w[-1] and r > 0 for w, r in rows)
+        assert seen["empty"] >= 20 and seen["flat_last"] >= 100, seen
 
 
 class TestBoxGuard:

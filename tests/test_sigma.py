@@ -288,6 +288,35 @@ class TestLanesAgree:
                 assert state == fast
 
 
+class TestLatticeLaneKeys:
+    def test_keys_and_boxes_match_ceil_formulas(self):
+        # one lane per pair serves several states and levels, so kept facet
+        # products are reused; every key and box must be the integer the ceil
+        # formulas of the _LatticeLane docstring give
+        rng = random.Random(13131)
+        for _ in range(120):
+            n, p = rng.randint(1, 3), rng.choice((2, 3, 5, 7))
+            a = MonomialIdeal(n, random_monomial_gens(rng, n, rng.randint(1, 4), 6))
+            t = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            lane = _LatticeLane(Triple(PolyRing(p, ["x", "y", "z"][:n]), a=a, t=t), SigmaOptions())
+            hull = fsing.newton.newton_hull(a)
+            maxima = [hull.coordinate_maximum(i) for i in range(n - 1)]
+            for _ in range(4):
+                draws = [tuple(rng.randint(0, 3 * p) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+                state = exponent_antichain(draws + [(0,) * n] * rng.randint(0, 1))
+                e = rng.randint(1, 4)
+                q = p**e
+                N = -(-t.numerator * (q - 1) // t.denominator)
+                want: dict = {}
+                for g in state:
+                    base = [q - 1 - gi for gi in g]
+                    lb = [max(0, -(b // q)) for b in base]
+                    r = [-(-(N * c - sum(vi * b for vi, b in zip(v, base))) // q) for v, c in hull.facets]
+                    box = [max(lo, -(-(N * m - b) // q)) for lo, m, b in zip(lb, maxima, base)]
+                    want.setdefault((*lb, *r), box)
+                assert lane._summand(state, e) == want, (a, t, p, state, e)
+
+
 class TestLatticeLaneWalks:
     """The lattice lane walks each region once per triple: the two heaviest
     monomial-battery pairs made 502 and 372 walks, one per (generator,
