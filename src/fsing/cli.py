@@ -54,8 +54,8 @@ from .ring import MonomialOrder, PolyRing, Polynomial
 
 MAX_PARSED_EXPONENT = 1_000_000
 
-# prime used to parse coefficient tokens for the characteristic-free
-# commands; large so small integer coefficients pass through unreduced
+# prime of the characteristic-free commands' ring, used to parse and print
+# monomials; large so small integer coefficients pass through unreduced
 _CHAR_FREE_PRIME = 2_147_483_647
 
 _TOKEN_RE = re.compile(r"(?P<ident>[a-z][a-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()\[\],/])|(?P<ws>\s+)|(?P<bad>.)")
@@ -255,16 +255,16 @@ def parse_polynomial_list(text: str, ring: PolyRing) -> list[Polynomial]:
         return polys
 
 
-def parse_monomial_ideal(text: str, nvars_names: tuple[str, ...]) -> MonomialIdeal:
-    """A bracket list of monomials, read over a characteristic-free ring."""
-    ring = PolyRing(_CHAR_FREE_PRIME, nvars_names)
-    polys = parse_polynomial_list(text, ring)
+def parse_monomial_ideal(text: str, names: tuple[str, ...], p: int = _CHAR_FREE_PRIME) -> MonomialIdeal:
+    """A bracket list of monomials over F_p; the default p is large enough
+    that small coefficients stay nonzero."""
+    polys = parse_polynomial_list(text, PolyRing(p, names))
     exponents = []
     for poly in polys:
         if poly.is_zero() or not poly.is_monomial():
             raise ParseError(f"monomial ideal generators must be single nonzero monomials: {text}")
         exponents.append(poly.leading_exponent())
-    return MonomialIdeal(len(nvars_names), exponents)
+    return MonomialIdeal(len(names), exponents)
 
 
 # -- canonical output ---------------------------------------------------------
@@ -272,17 +272,6 @@ def parse_monomial_ideal(text: str, nvars_names: tuple[str, ...]) -> MonomialIde
 
 def ideal_generator_strings(I: Ideal) -> list[str]:
     return [str(g) for g in I.groebner_basis().elements]
-
-
-def _monomial_strings(a: MonomialIdeal, names: tuple[str, ...]) -> list[str]:
-    ring = PolyRing(_CHAR_FREE_PRIME, names)
-    return [str(Polynomial(ring, {g: 1})) for g in sorted(a.generators, key=ring.order.key, reverse=True)]
-
-
-def format_monomial_ideal(a: MonomialIdeal, names: tuple[str, ...]) -> str:
-    if a.is_zero():
-        return "(0)"
-    return f"({', '.join(_monomial_strings(a, names))})"
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -308,97 +297,97 @@ def _build_ring(args) -> PolyRing:
     return PolyRing(args.prime, _split_vars(args.vars), MonomialOrder(args.order))
 
 
-# budget flag -> SigmaOptions field
-_BUDGET = (("emax", "e_max"), ("probe", "probe"), ("nmax", "n_max"), ("window", "window"))
+# budget flag -> (SigmaOptions field, help)
+_BUDGET = {
+    "emax": ("e_max", "largest Frobenius level per step"),
+    "probe": ("probe", "extra stability-probe levels"),
+    "nmax": ("n_max", "iteration bound"),
+    "window": ("window", "stable steps required"),
+}
 
 
 def _budget_opts(args) -> SigmaOptions | None:
     """SigmaOptions with every budget flag that was given; None when none was."""
-    given = {field: getattr(args, flag) for flag, field in _BUDGET if getattr(args, flag) is not None}
+    given = {field: getattr(args, flag) for flag, (field, _) in _BUDGET.items() if getattr(args, flag, None) is not None}
     return replace(SigmaOptions(), **given) if given else None
 
 
-def _add_ring_flags(sub, prime: bool = True):
+def _add_ring_flags(sub, prime: bool = True, order: bool = True):
     if prime:
         sub.add_argument("--prime", type=int, required=True, help="characteristic p (prime)")
     sub.add_argument("--vars", required=True, help="comma-separated variable names, e.g. x,y")
-    sub.add_argument("--order", choices=("grevlex", "lex"), default="grevlex", help="monomial order")
+    if order:
+        sub.add_argument("--order", choices=("grevlex", "lex"), default="grevlex", help="monomial order")
 
 
-def _add_budget_flags(sub):
-    defaults = SigmaOptions()
-    sub.add_argument("--emax", type=int, default=defaults.e_max, help="largest Frobenius level per step")
-    sub.add_argument("--probe", type=int, default=defaults.probe, help="extra stability-probe levels")
-    sub.add_argument("--nmax", type=int, default=defaults.n_max, help="iteration bound")
-    sub.add_argument("--window", type=int, default=defaults.window, help="stable steps required")
+def _add_budget_flags(sub, flags: tuple[str, ...], defaults: SigmaOptions | None = SigmaOptions()):
+    """The budget flags a command reads; with ``defaults=None`` an unset
+    flag leaves the library's own (adaptive) budget in force."""
+    for flag in flags:
+        field, text = _BUDGET[flag]
+        default, note = (getattr(defaults, field), "") if defaults else (None, " (default: adaptive)")
+        sub.add_argument(f"--{flag}", type=int, default=default, help=text + note)
 
 
-def _add_triple_command(subs, name: str, summary: str):
+def _add_triple_command(subs, name: str, summary: str, budget: tuple[str, ...]):
     sub = subs.add_parser(name, help=summary)
     _add_ring_flags(sub)
     sub.add_argument("--divisor", help="formal divisor, e.g. \"1*(x^3 - y^2)\"")
     sub.add_argument("--ideal", help="monomial ideal, e.g. \"[x^2, y^3]\"")
     sub.add_argument("--t", help="exponent for the monomial ideal (positive rational)")
-    _add_budget_flags(sub)
+    _add_budget_flags(sub, budget)
+
+
+def _add_monomial_command(subs, name: str, summary: str, prime: bool = False):
+    sub = subs.add_parser(name, help=summary)
+    _add_ring_flags(sub, prime, order=False)
+    sub.add_argument("--ideal", required=True, help="bracket list of monomials")
+    return sub
 
 
 @functools.cache  # built on the first run, not at import, and reused; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(prog="fsing", description="Frobenius-splitting computations over F_p")
     subs = parser.add_subparsers(dest="command", required=True)
+    every_budget = tuple(_BUDGET)
 
-    _add_triple_command(subs, "sigma", "stabilized descending chain value")
-    _add_triple_command(subs, "tau", "stabilized big test ideal")
+    _add_triple_command(subs, "sigma", "stabilized descending chain value", every_budget)
+    _add_triple_command(subs, "tau", "stabilized big test ideal", ("nmax", "window"))
 
     sub = subs.add_parser("froot", help="Frobenius root of an ideal")
     _add_ring_flags(sub)
     sub.add_argument("--ideal", required=True, help="bracket list of polynomials")
     sub.add_argument("--e", type=int, required=True, help="Frobenius level")
 
-    sub = subs.add_parser("newton", help="Newton-membership monomial ideal")
-    _add_ring_flags(sub, prime=False)
-    sub.add_argument("--ideal", required=True, help="bracket list of monomials")
+    sub = _add_monomial_command(subs, "newton", "Newton-membership monomial ideal")
     sub.add_argument("--t", required=True, help="positive rational exponent")
     sub.add_argument("--mode", choices=("closed", "interior"), default="closed")
 
-    sub = subs.add_parser("lct", help="log-canonical threshold of a monomial ideal")
-    _add_ring_flags(sub, prime=False)
-    sub.add_argument("--ideal", required=True, help="bracket list of monomials")
+    _add_monomial_command(subs, "lct", "log-canonical threshold of a monomial ideal")
 
-    sub = subs.add_parser("jumps", help="jumping numbers of a monomial ideal")
-    _add_ring_flags(sub, prime=False)
-    sub.add_argument("--ideal", required=True, help="bracket list of monomials")
+    sub = _add_monomial_command(subs, "jumps", "jumping numbers of a monomial ideal")
     sub.add_argument("--tmax", required=True, help="upper bound for the jumps")
 
     sub = subs.add_parser("restrict-check", help="compare both sides of the restriction identity")
     _add_ring_flags(sub)
     sub.add_argument("--hyperplane", required=True, help="coordinate variable cut out, e.g. x")
     sub.add_argument("--divisor", help="the divisor B away from the hyperplane")
-    _add_budget_flags(sub)
+    _add_budget_flags(sub, every_budget)
 
-    _add_triple_command(subs, "fpure", "sharp F-purity of a triple")
-    _add_triple_command(subs, "fregular", "strong F-regularity of a triple")
+    _add_triple_command(subs, "fpure", "sharp F-purity of a triple", ("emax",))
+    _add_triple_command(subs, "fregular", "strong F-regularity of a triple", ("nmax", "window"))
 
-    sub = subs.add_parser("compare-monomial", help="chain value vs Newton formula for a monomial ideal")
-    _add_ring_flags(sub)
-    sub.add_argument("--ideal", required=True, help="bracket list of monomials")
+    sub = _add_monomial_command(subs, "compare-monomial", "chain value vs Newton formula for a monomial ideal", prime=True)
     sub.add_argument("--t", required=True, help="positive rational exponent")
-    sub.add_argument("--emax", type=int, help="override the adaptive level budget")
-    sub.add_argument("--probe", type=int, help="override the probe depth")
-    sub.add_argument("--nmax", type=int, help="override the iteration bound")
-    sub.add_argument("--window", type=int, help="override the stability window")
+    _add_budget_flags(sub, every_budget, defaults=None)
     for sub in subs.choices.values():  # --json is the last flag of every subcommand
         sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     return parser
 
 
-def _inputs_dict(args, keys: tuple[str, ...]) -> dict:
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value if isinstance(value, (int, bool)) else str(value)
-    return out
+def _inputs_dict(args) -> dict:
+    """Every parsed flag but the command and --json; unset ones are left out."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "json") and value is not None}
 
 
 def _triple_from_args(args, ring: PolyRing) -> Triple:
@@ -406,7 +395,7 @@ def _triple_from_args(args, ring: PolyRing) -> Triple:
     a = None
     t = Fraction(1)
     if args.ideal:
-        a = parse_monomial_ideal(args.ideal, ring.variables)
+        a = parse_monomial_ideal(args.ideal, ring.variables, ring.p)
         if a.is_zero():
             raise ParseError("the monomial ideal must be nonzero")
         t = parse_rational(args.t) if args.t else Fraction(1)
@@ -457,9 +446,8 @@ def _cmd_froot(args):
 def _cmd_newton(args):
     names = _split_vars(args.vars)
     a = parse_monomial_ideal(args.ideal, names)
-    result = newton_ideal(a, parse_rational(args.t), args.mode)
-    lines = [f"newton_ideal = {format_monomial_ideal(result, names)}"]
-    return lines, {"generators": _monomial_strings(result, names)}, _diagnostics()
+    result = newton_ideal(a, parse_rational(args.t), args.mode).to_ideal(PolyRing(_CHAR_FREE_PRIME, names))
+    return [f"newton_ideal = {result}"], {"generators": ideal_generator_strings(result)}, _diagnostics()
 
 
 def _cmd_lct(args):
@@ -503,44 +491,35 @@ def _cmd_fpure(args):
 def _cmd_fregular(args):
     ring = _build_ring(args)
     flag = is_strongly_fregular(_triple_from_args(args, ring), _budget_opts(args))
-    return [f"strongly F-regular: {_yes(flag)}"], {"fregular": flag}, _diagnostics(e_max=args.emax)
+    return [f"strongly F-regular: {_yes(flag)}"], {"fregular": flag}, _diagnostics()
 
 
 def _cmd_compare_monomial(args):
     names = _split_vars(args.vars)
-    a = parse_monomial_ideal(args.ideal, names)
+    a = parse_monomial_ideal(args.ideal, names, args.prime)
     report = verify_monomial_theorem(a, parse_rational(args.t), args.prime, variables=names, opts=_budget_opts(args))
-    lines = [
-        f"sigma = {report.ideal}",
-        f"newton = {format_monomial_ideal(report.newton, names)}",
-        f"equal = {_yes(report.equal)}",
-    ]
+    newton = report.newton.to_ideal(report.ideal.ring)
+    lines = [f"sigma = {report.ideal}", f"newton = {newton}", f"equal = {_yes(report.equal)}"]
     result = {
         "generators": ideal_generator_strings(report.ideal),
-        "newton_generators": _monomial_strings(report.newton, names),
+        "newton_generators": ideal_generator_strings(newton),
         "equal": report.equal,
     }
     chain = report.sigma_result
     return lines, result, _diagnostics(chain.iterations, chain.e_max_used, chain.probe_stable)
 
 
-_TRIPLE_INPUTS = ("prime", "vars", "divisor", "ideal", "t", "order", "emax", "probe", "nmax", "window")
-
-# command -> (handler, argument names echoed as JSON inputs)
 _COMMANDS = {
-    "sigma": (_cmd_sigma, _TRIPLE_INPUTS),
-    "tau": (_cmd_tau, _TRIPLE_INPUTS),
-    "froot": (_cmd_froot, ("prime", "vars", "ideal", "e", "order")),
-    "newton": (_cmd_newton, ("vars", "ideal", "t", "mode")),
-    "lct": (_cmd_lct, ("vars", "ideal")),
-    "jumps": (_cmd_jumps, ("vars", "ideal", "tmax")),
-    "restrict-check": (
-        _cmd_restrict_check,
-        ("prime", "vars", "hyperplane", "divisor", "order", "emax", "probe", "nmax", "window"),
-    ),
-    "fpure": (_cmd_fpure, _TRIPLE_INPUTS),
-    "fregular": (_cmd_fregular, _TRIPLE_INPUTS),
-    "compare-monomial": (_cmd_compare_monomial, ("prime", "vars", "ideal", "t", "order")),
+    "sigma": _cmd_sigma,
+    "tau": _cmd_tau,
+    "froot": _cmd_froot,
+    "newton": _cmd_newton,
+    "lct": _cmd_lct,
+    "jumps": _cmd_jumps,
+    "restrict-check": _cmd_restrict_check,
+    "fpure": _cmd_fpure,
+    "fregular": _cmd_fregular,
+    "compare-monomial": _cmd_compare_monomial,
 }
 
 
@@ -554,9 +533,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits directly for --help
         return 0 if exc.code in (0, None) else 1
-    handler, inputs = _COMMANDS[args.command]
     try:
-        lines, result, diagnostics = handler(args)
+        lines, result, diagnostics = _COMMANDS[args.command](args)
     except (ParseError, _ArgumentError, ValueError, RingMismatchError, RestrictionHypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -564,7 +542,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        payload = {"command": args.command, "inputs": _inputs_dict(args, inputs), "result": result, "diagnostics": diagnostics}
+        payload = {"command": args.command, "inputs": _inputs_dict(args), "result": result, "diagnostics": diagnostics}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))

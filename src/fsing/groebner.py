@@ -147,11 +147,9 @@ def _gebauer_moller(leads: list[Exponent], active: list[int], pairs: list, keyfn
 def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polynomial]:
     keyfn = ring.order.key
     seeds = sorted(
-        {g.monic() for g in generators if not g.is_zero()},
+        (g.monic() for g in generators if not g.is_zero()),
         key=lambda g: (keyfn(g.leading_exponent()), g.canonical_key()),
     )
-    if not seeds:
-        return []
     if all(g.is_monomial() for g in seeds):
         return seeds
 
@@ -159,9 +157,14 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
     leads: list[Exponent] = []
     active: list[int] = []
     pairs: list[tuple] = []  # heap of (order key of lcm, i, j, lcm), i < j
+    # a seed that reduces to zero by the seeds entered before it (a repeat
+    # included) lies in their ideal and makes no pairs.  The others enter
+    # as given: entering their remainders raised the degrees of lex bases
+    # and made some runs an order of magnitude slower.
     for g in seeds:
-        basis.append(g)
-        active = _gebauer_moller(leads, active, pairs, keyfn, g.leading_exponent())
+        if not active or not normal_form(g, GroebnerBasis(ring, tuple(basis[k] for k in active))).is_zero():
+            basis.append(g)
+            active = _gebauer_moller(leads, active, pairs, keyfn, g.leading_exponent())
     while pairs:
         _, i, j, lcm = heappop(pairs)
         reducers = GroebnerBasis(ring, tuple(basis[k] for k in active))

@@ -8,6 +8,7 @@ import json
 import random
 import shlex
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from fsing.cli import (
     parse_rational,
     run,
 )
-from fsing.errors import ParseError
+from fsing.errors import NonconvergenceError, ParseError
+from fsing.nonfpure import SigmaOptions
 
 from conftest import poly_from_dict
 from oracles import random_poly_terms
@@ -313,6 +315,111 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "froot", "--prime", "2", "--vars", "x,y", "--ideal", ideal, "--e", "1000000000000")
         assert time.perf_counter() - start < 5.0
         assert (code, out.splitlines()[0]) == (0, f"root = {root}")
+
+
+class TestFlagContract:
+    """Each subcommand takes exactly the flags its handler reads."""
+
+    BASE = {
+        "sigma": ["--prime", "5", "--vars", "x,y", "--divisor", "1*(x^3 - y^2)"],
+        "tau": ["--prime", "5", "--vars", "x,y", "--divisor", "1*(x^3 - y^2)"],
+        "fpure": ["--prime", "5", "--vars", "x,y", "--divisor", "1*(x^3 - y^2)"],
+        "fregular": ["--prime", "5", "--vars", "x,y", "--divisor", "1*(x^3 - y^2)"],
+        "restrict-check": ["--prime", "5", "--vars", "x,y", "--hyperplane", "x", "--divisor", "1*(x^3 - y^2)"],
+        "compare-monomial": ["--prime", "5", "--vars", "x,y", "--ideal", "[x^2, y^3]", "--t", "5/6"],
+        "newton": ["--vars", "x,y", "--ideal", "[x^2, y^3]", "--t", "5/6"],
+        "lct": ["--vars", "x,y", "--ideal", "[x^2, y^3]"],
+        "jumps": ["--vars", "x,y", "--ideal", "[x^2, y^3]", "--tmax", "2"],
+    }
+    REMOVED = [
+        ("newton", "--order", "lex"), ("lct", "--order", "lex"), ("jumps", "--order", "lex"),
+        ("compare-monomial", "--order", "lex"),
+        ("tau", "--emax", "3"), ("tau", "--probe", "1"),
+        ("fregular", "--emax", "3"), ("fregular", "--probe", "1"),
+        ("fpure", "--probe", "1"), ("fpure", "--nmax", "5"), ("fpure", "--window", "1"),
+    ]
+    # command -> (library function patched in fsing.cli, how the handler
+    # passes its SigmaOptions, budget flags the command reads)
+    EVERY = ("emax", "probe", "nmax", "window")
+    CALLS = {
+        "sigma": ("sigma", lambda args, kwargs: args[1], EVERY),
+        "tau": ("tau_b", lambda args, kwargs: args[1], ("nmax", "window")),
+        "fpure": ("is_sharply_fpure", lambda args, kwargs: args[1], ("emax",)),
+        "fregular": ("is_strongly_fregular", lambda args, kwargs: args[1], ("nmax", "window")),
+        "restrict-check": ("check_restriction", lambda args, kwargs: args[0].opts, EVERY),
+        "compare-monomial": ("verify_monomial_theorem", lambda args, kwargs: kwargs["opts"], EVERY),
+    }
+    FIELDS = {"emax": ("e_max", 7), "probe": ("probe", 3), "nmax": ("n_max", 9), "window": ("window", 5)}
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED, ids=[f"{c}{f}" for c, f, _ in REMOVED])
+    def test_removed_flags_are_refused(self, capsys, command, flag, value):
+        code, out, err = invoke(capsys, command, *self.BASE[command], flag, value)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def _captured_opts(self, capsys, monkeypatch, command, *extra):
+        from fsing import cli
+
+        name, opts_of, _ = self.CALLS[command]
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.append(opts_of(args, kwargs))
+            raise NonconvergenceError("captured")
+
+        monkeypatch.setattr(cli, name, capture)
+        assert invoke(capsys, command, *self.BASE[command], *extra)[0] == 2
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, (_, _, flags) in CALLS.items() for flag in flags],
+    )
+    def test_budget_flag_reaches_options(self, capsys, monkeypatch, command, flag):
+        field, value = self.FIELDS[flag]
+        opts = self._captured_opts(capsys, monkeypatch, command, f"--{flag}", str(value))
+        assert getattr(opts, field) == value
+        # every other field keeps the library default
+        assert replace(opts, **{field: getattr(SigmaOptions(), field)}) == SigmaOptions()
+
+    def test_unset_budget(self, capsys, monkeypatch):
+        # the triple commands pass the library defaults; compare-monomial
+        # passes None, which keeps its adaptive level budget
+        assert self._captured_opts(capsys, monkeypatch, "sigma") == SigmaOptions()
+        assert self._captured_opts(capsys, monkeypatch, "compare-monomial") is None
+
+    def test_inputs_echo_parsed_flags(self, capsys):
+        argv = ["compare-monomial", *self.BASE["compare-monomial"], "--json"]
+        inputs = json.loads(invoke(capsys, *argv)[1])["inputs"]
+        assert inputs == {"prime": 5, "vars": "x,y", "ideal": "[x^2, y^3]", "t": "5/6"}
+        inputs = json.loads(invoke(capsys, *argv, "--emax", "3")[1])["inputs"]
+        assert inputs["emax"] == 3
+
+
+class TestMonomialCoefficients:
+    """``--ideal`` is read over the command's ring: F_p where the command
+    takes ``--prime``, characteristic-free on newton, lct and jumps."""
+
+    @pytest.mark.parametrize("command", ["sigma", "tau", "fpure", "fregular", "compare-monomial"])
+    def test_zero_generator_mod_p_is_refused(self, capsys, command):
+        # 5*y is zero over F_5, so [x^2, 5*y] is no list of nonzero monomials
+        code, out, err = invoke(capsys, command, "--prime", "5", "--vars", "x,y", "--ideal", "[x^2, 5*y]", "--t", "1")
+        assert (code, out) == (1, "")
+        assert "must be single nonzero monomials" in err
+
+    def test_unit_coefficient_mod_p(self, capsys):
+        # over F_7, 5*y is a unit times y
+        argv = ["sigma", "--prime", "7", "--vars", "x,y", "--t", "1"]
+        assert invoke(capsys, *argv, "--ideal", "[x^2, 5*y]") == invoke(capsys, *argv, "--ideal", "[x^2, y]")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["newton", "--t", "1"], ["lct"], ["jumps", "--tmax", "2"]],
+        ids=["newton", "lct", "jumps"],
+    )
+    def test_characteristic_free_commands_keep_the_coefficient(self, capsys, argv):
+        command = [argv[0], "--vars", "x,y", *argv[1:], "--ideal"]
+        assert invoke(capsys, *command, "[x^2, 5*y]") == invoke(capsys, *command, "[x^2, y]")
 
 
 @st.composite

@@ -252,16 +252,18 @@ class TestSympyOracle:
 
 class TestPairPruning:
     def test_cyclic4_normal_form_calls(self, monkeypatch):
-        # S-pair reductions after Gebauer-Moeller pruning plus one
-        # tail-reduction pass: 11 + 7 calls under grevlex, 20 + 6 under lex
-        # (35 + 7 and 73 + 12 when every non-coprime pair is reduced and tail
+        # one membership test per seed after the first, S-pair reductions
+        # after Gebauer-Moeller pruning, and one tail-reduction pass: 3 + 11
+        # + 7 calls under grevlex, 3 + 20 + 6 under lex (no cyclic-4 seed
+        # lies in the ideal of those before it; 35 + 7 and 73 + 12 S-pair
+        # and tail calls when every non-coprime pair is reduced and tail
         # reduction runs to a fixed point)
         import fsing.groebner
 
         calls = []
         original = fsing.groebner.normal_form
         monkeypatch.setattr(fsing.groebner, "normal_form", lambda *args: calls.append(args) or original(*args))
-        for order, expected in (("grevlex", 18), ("lex", 26)):
+        for order, expected in (("grevlex", 21), ("lex", 29)):
             R = PolyRing(7, ["x", "y", "z", "w"], MonomialOrder(order))
             x, y, z, w = (R.variable(i) for i in range(4))
             cyclic4 = [x + y + z + w, x * y + y * z + z * w + w * x, x * y * z + y * z * w + z * w * x + w * x * y, x * y * z * w - 1]
@@ -269,6 +271,23 @@ class TestPairPruning:
             basis = Ideal(R, cyclic4).groebner_basis()
             assert len(calls) == expected, order
             assert len(basis) == {"grevlex": 7, "lex": 6}[order]
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_redundant_seeds_make_no_pairs(self, monkeypatch, order):
+        # f and g have coprime leads in both orders, so they are a Groebner
+        # basis and every member of their ideal reduces to zero by them: a
+        # repeat, a scalar multiple and a combination enter no pair heap, and
+        # the run does the same Gebauer-Moeller updates as for (f, g)
+        R = PolyRing(7, ["x", "y"], MonomialOrder(order))
+        x, y = R.variable(0), R.variable(1)
+        f, g = x**2 + y, y**3 + 1
+        entered = []
+        original = fsing.groebner._gebauer_moller
+        monkeypatch.setattr(fsing.groebner, "_gebauer_moller", lambda *args: entered.append(args[-1]) or original(*args))
+        plain = Ideal(R, [f, g]).groebner_basis()
+        plain_entered, entered[:] = list(entered), []
+        assert Ideal(R, [f * (x + y**3) + x * g, 3 * f, g, f, f]).groebner_basis() == plain
+        assert entered == plain_entered
 
 
 class TestGuards:
