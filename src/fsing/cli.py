@@ -236,33 +236,40 @@ def parse_divisor(text: str, ring: PolyRing) -> QDivisor:
         return QDivisor(entries)
 
 
-def parse_polynomial_list(text: str, ring: PolyRing) -> list[Polynomial]:
-    """'[f1, f2, ...]'; '[]' is the empty list."""
+def _list_entries(text: str, ring: PolyRing) -> list[tuple[Polynomial, int, int]]:
+    """'[f1, f2, ...]' as (f_i, line, column of its first token); '[]' is empty."""
     parser = _Parser(text)
     parser.expect_op("[")
-    polys: list[Polynomial] = []
+    entries: list[tuple[Polynomial, int, int]] = []
     if parser.at_op("]"):
         parser.take()
         parser.expect_end()
-        return polys
+        return entries
     while True:
-        polys.append(parser.parse_expr(ring))
+        token = parser.peek()
+        line, col = (token[2], token[3]) if token else parser.end
+        entries.append((parser.parse_expr(ring), line, col))
         if parser.at_op(","):
             parser.take()
             continue
         parser.expect_op("]")
         parser.expect_end()
-        return polys
+        return entries
+
+
+def parse_polynomial_list(text: str, ring: PolyRing) -> list[Polynomial]:
+    """'[f1, f2, ...]'; '[]' is the empty list."""
+    return [poly for poly, _, _ in _list_entries(text, ring)]
 
 
 def parse_monomial_ideal(text: str, names: tuple[str, ...], p: int = _CHAR_FREE_PRIME) -> MonomialIdeal:
     """A bracket list of monomials over F_p; the default p is large enough
-    that small coefficients stay nonzero."""
-    polys = parse_polynomial_list(text, PolyRing(p, names))
+    that small coefficients stay nonzero.  A bad entry is reported at its
+    own position."""
     exponents = []
-    for poly in polys:
+    for poly, line, col in _list_entries(text, PolyRing(p, names)):
         if poly.is_zero() or not poly.is_monomial():
-            raise ParseError(f"monomial ideal generators must be single nonzero monomials: {text}")
+            raise ParseError(f"monomial ideal generators must be single nonzero monomials: {text}", line, col)
         exponents.append(poly.leading_exponent())
     return MonomialIdeal(len(names), exponents)
 
@@ -302,7 +309,6 @@ _BUDGET = {
     "emax": ("e_max", "largest Frobenius level per step"),
     "probe": ("probe", "extra stability-probe levels"),
     "nmax": ("n_max", "iteration bound"),
-    "window": ("window", "stable steps required"),
 }
 
 
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     every_budget = tuple(_BUDGET)
 
     _add_triple_command(subs, "sigma", "stabilized descending chain value", every_budget)
-    _add_triple_command(subs, "tau", "stabilized big test ideal", ("nmax", "window"))
+    _add_triple_command(subs, "tau", "stabilized big test ideal", ("nmax",))
 
     sub = subs.add_parser("froot", help="Frobenius root of an ideal")
     _add_ring_flags(sub)
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(sub, every_budget)
 
     _add_triple_command(subs, "fpure", "sharp F-purity of a triple", ("emax",))
-    _add_triple_command(subs, "fregular", "strong F-regularity of a triple", ("nmax", "window"))
+    _add_triple_command(subs, "fregular", "strong F-regularity of a triple", ("nmax",))
 
     sub = _add_monomial_command(subs, "compare-monomial", "chain value vs Newton formula for a monomial ideal", prime=True)
     sub.add_argument("--t", required=True, help="positive rational exponent")

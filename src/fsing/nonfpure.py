@@ -23,7 +23,7 @@ the probe (recomputing the final step at a few larger e) is a stability
 check that the truncation did not lose anything visible.
 
 Each level is evaluated by one of two lanes, chosen once per triple; a
-lane owns its caches, the cached step, the tail sums and the probe:
+lane owns its caches, the step, the tail sums and the probe:
 
 * the polynomial lane holds ideals of R and takes every root one base-p
   digit of the f_i exponents at a time (``root_of_product``, called from
@@ -46,9 +46,11 @@ base-p digit of n at a time through a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]}
 over digit vectors d (``monomial_power_root``), so a^n is never expanded.
 
 The descending chain, the Cartier chain and the ascending test-ideal sum
-all run on one driver, ``_stabilize``, over the lane ``_lane`` picks; it
-iterates until a window of consecutive repeats, and each caller keeps its
-own failure message.
+all run on one driver, ``_stabilize``, over the lane ``_lane`` picks, and
+each caller keeps its own failure message.  The two descending chains apply
+a function of the state, so their first repeat is a fixed point and ends
+them; the test-ideal summands move with the level, so their sum waits for a
+window of repeats derived from the denominators.
 """
 
 from __future__ import annotations
@@ -96,13 +98,11 @@ class SigmaOptions:
     e_max: largest Frobenius level in each step's sum.
     probe: extra levels checked after stabilization (stability evidence).
     n_max: bound on iterations before giving up.
-    window: consecutive equal steps required to declare stabilization.
     """
 
     e_max: int = 4
     probe: int = 2
     n_max: int = 20
-    window: int = 2
 
     def __post_init__(self):
         if self.e_max < 1:
@@ -111,8 +111,6 @@ class SigmaOptions:
             raise ValueError("probe must be nonnegative")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
 
 
 class QDivisor:
@@ -207,7 +205,8 @@ class SigmaResult:
 
     iterations: first n with chain_n = chain_{n+1}.
     e_max_used: largest Frobenius level evaluated (probe included).
-    probe_stable: the probe levels added nothing to the final ideal.
+    probe_stable: the probe levels added nothing to the final ideal; True
+    by proof on the Cartier chain, which has no probe.
     """
 
     ideal: Ideal
@@ -223,34 +222,30 @@ def _stabilize(
     n_max: int,
     failure: str,
     stop: Callable[[_State], bool] | None = None,
-) -> tuple[_State, int, int]:
+) -> tuple[_State, int]:
     """Iterate x_n = advance(x_{n-1}, n) from x_0 = ``x`` for n up to
     ``n_max``, until ``window`` consecutive x_n equal x_{n-1} or ``stop(x_n)``
     holds.
 
-    Returns (x_n, n, first), where x_first is the first member of the final
-    run of equal values.  Raises NonconvergenceError(failure) when n_max
-    comes first.
+    Returns (x_n, n); at window 1, n is the first index with x_n = x_{n-1}.
+    Raises NonconvergenceError(failure) when n_max comes first.
     """
-    stable, first = 0, 0
+    stable = 0
     for n in range(1, n_max + 1):
         new = advance(x, n)
-        if new == x:
-            stable += 1
-        else:
-            stable, first = 0, n
+        stable = stable + 1 if new == x else 0
         x = new
         if stable >= window or (stop is not None and stop(x)):
-            return x, n, first
+            return x, n
     raise NonconvergenceError(failure)
 
 
 class _Lane:
-    """One chain lane for one triple: the step of the descending chain,
-    cached per state, and the largest level evaluated, ``max_e_used``.
+    """One chain lane for one triple: the step of the descending chain and
+    the largest level evaluated, ``max_e_used``.
 
-    A lane supplies ``unit``, ``key``, ``_summand`` (the level-e summand of a
-    state), ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
+    A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
+    ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
     summands), ``contains`` and ``to_ideal``; both lanes give the same ideals.
     """
 
@@ -259,7 +254,6 @@ class _Lane:
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
-        self._steps: dict = {}
 
     def level(self, state, e: int):
         self.max_e_used = max(self.max_e_used, e)
@@ -270,10 +264,7 @@ class _Lane:
         return self.join(self.level(state, e) for e in range(e_lo, e_hi + 1))
 
     def step(self, state):
-        key = self.key(state)
-        if key not in self._steps:
-            self._steps[key] = self.tail(state, 1, self.opts.e_max)
-        return self._steps[key]
+        return self.tail(state, 1, self.opts.e_max)
 
     def probe(self, state) -> bool:
         """True when levels (e_max, e_max + probe] add nothing to ``state``."""
@@ -291,10 +282,6 @@ class _PolynomialLane(_Lane):
         self._roots: dict = {}
         self._powers: dict = {}
         self._closure: dict[int, MonomialIdeal] = {}
-
-    @staticmethod
-    def key(J: Ideal):
-        return J.canonical_key()
 
     def root(self, J: Ideal, extra: MonomialIdeal | None, exps: list[int], e: int) -> Ideal:
         """(J * extra * prod_i f_i^{exps_i})^{[1/p^e]}, one base-p digit of each
@@ -365,10 +352,6 @@ class _LatticeLane(_Lane):
         hull = newton_hull(self.triple.a)
         return hull.facets, [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
 
-    @staticmethod
-    def key(state: tuple[Exponent, ...]):
-        return state
-
     def _summand(self, state: tuple[Exponent, ...], e: int) -> _Regions:
         """The region keys of level e from ``state``, each with its prefix box."""
         q = self.ring.p**e
@@ -419,22 +402,21 @@ def _lane(T: Triple, opts: SigmaOptions) -> _Lane:
 def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     """The limit of the descending chain from R under the step above.
 
-    Stabilization is declared after ``window`` consecutive equal steps
-    (cached, so the window re-checks are free); then the probe recomputes
-    the final step at levels up to e_max + probe and reports whether they
-    added anything.
+    The step is a function of the state, so the chain stops at its first
+    repeat, a fixed point; then the probe recomputes the final step at
+    levels up to e_max + probe and reports whether they added anything.
     """
     opts = opts or SigmaOptions()
     lane = _lane(T, opts)
-    state, _, first = _stabilize(
+    state, n = _stabilize(
         lambda s, _: lane.step(s),
         lane.unit,
-        opts.window,
+        1,
         opts.n_max,
-        f"chain did not stabilize within {opts.n_max} iterations (window {opts.window})",
+        f"chain did not stabilize within {opts.n_max} iterations",
     )
-    probe_ok = lane.probe(state)
-    return SigmaResult(lane.to_ideal(state), first, lane.max_e_used, probe_ok)
+    probe_ok = lane.probe(state)  # before max_e_used is read: the probe levels count
+    return SigmaResult(lane.to_ideal(state), n - 1, lane.max_e_used, probe_ok)
 
 
 def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -488,8 +470,10 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
     """Direct chain for divisor-only triples with a Cartier period e0:
     the n-th member is the p^{n*e0}-th root of prod f_i^{t_i (p^{n*e0} - 1)}
     (integral exponents by the choice of e0), so no inner sum over e is
-    needed.  Stabilization and probe follow the same window semantics; the
-    chain starts at its first member, not at R.
+    needed.  The chain starts at its first member, not at R, and stops at
+    its first repeat: member l + 1 is the level-e0 summand of member l, as
+    (I^{[q]} K)^{[1/q]} = I K^{[1/q]} (Blickle-Mustata-Smith), so every later
+    member repeats it too and no probe is run.
     """
     opts = opts or SigmaOptions()
     if T.a is not None:
@@ -502,15 +486,14 @@ def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResu
         )
     lane = _lane(T, opts)
     # no member equals None, so the first one counts as growth from None
-    current, l, first = _stabilize(
+    current, l = _stabilize(
         lambda _, l: lane.level(lane.unit, l * e0),
         None,
-        opts.window,
+        1,
         opts.n_max,
-        f"Cartier chain did not stabilize within {opts.n_max} members (window {opts.window})",
+        f"Cartier chain did not stabilize within {opts.n_max} members",
     )
-    probe_ok = all(lane.level(lane.unit, k * e0) == current for k in range(l + 1, l + 1 + opts.probe))
-    return SigmaResult(current, first, lane.max_e_used, probe_ok)
+    return SigmaResult(current, l - 1, lane.max_e_used, True)
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -534,8 +517,10 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     into a cycle once p^e clears the p-part p^v of every denominator and e
     has advanced one full period of p modulo the p-free part; plateaus
     inside that transient are routine (an exponent just under a threshold
-    stays flat for ~log_p(den) levels before jumping), so the window is at
-    least v plus that period.
+    stays flat for ~log_p(den) levels before jumping), so the window is
+    max(2, v plus that period).  The period is searched up to n_max only: a
+    longer one gives a window no run of n_max levels meets, so the window is
+    then n_max + 1 and only the unit ideal ends the sum.
     """
     opts = opts or SigmaOptions()
     p = T.ring.p
@@ -543,10 +528,11 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     while L % p == 0:
         L //= p
         v += 1
-    window = max(opts.window, v + _order_mod(p, L, L))
+    order = _order_mod(p, L, opts.n_max)
+    window = max(2, v + order) if order is not None else opts.n_max + 1
     lane = _lane(T, opts)
     # no summand is the zero ideal, so the first one counts as growth from None
-    total, _, _ = _stabilize(
+    total, _ = _stabilize(
         lambda _, e: lane.ascend(e),
         None,
         window,
@@ -618,7 +604,7 @@ def verify_monomial_theorem(
     ring = PolyRing(p, variables)
     triple = Triple(ring, a=a, t=t)
     if opts is None:
-        opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0), n_max=30, window=2)
+        opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0), n_max=30)
     result = sigma(triple, opts)
     while not result.probe_stable and 2 * opts.e_max <= 64:
         opts = replace(opts, e_max=2 * opts.e_max)

@@ -258,6 +258,27 @@ class TestExitCodes:
         assert code == 1
         assert "column" in err
 
+    @pytest.mark.parametrize(
+        "command, ideal, extra",
+        [
+            ("sigma", "[x^2, 5*y]", ["--prime", "5", "--t", "1"]),
+            ("sigma", "[x^2, x + y]", ["--prime", "5", "--t", "1"]),
+            ("tau", "[x^2, x + y]", ["--prime", "5", "--t", "1"]),
+            ("fpure", "[x^2, x + y]", ["--prime", "5", "--t", "1"]),
+            ("fregular", "[x^2, x + y]", ["--prime", "5", "--t", "1"]),
+            ("compare-monomial", "[x^2, x + y]", ["--prime", "5", "--t", "1"]),
+            ("newton", "[x^2, x + y]", ["--t", "1"]),
+            ("lct", "[x^2, x + y]", []),
+            ("jumps", "[x^2, x + y]", ["--tmax", "2"]),
+        ],
+        ids=["sigma-zero-mod-p", "sigma", "tau", "fpure", "fregular", "compare-monomial", "newton", "lct", "jumps"],
+    )
+    def test_monomial_entry_position(self, capsys, command, ideal, extra):
+        # a bad monomial-list entry is reported at its own first token
+        code, out, err = invoke(capsys, command, "--vars", "x,y", "--ideal", ideal, *extra)
+        assert (code, out) == (1, "")
+        assert err.endswith("must be single nonzero monomials: " + ideal + " (line 1, column 7)\n")
+
     def test_nonconvergence_is_two(self, capsys):
         code, _, err = invoke(
             capsys, "sigma", "--prime", "5", "--vars", "x,y",
@@ -307,6 +328,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "nonfpure.MAX_MONOMIAL_PERIOD = 1024 " in err
 
+    def test_fregular_long_period_ends(self, capsys):
+        # ord(2 mod 1000000007) is searched up to --nmax only; the search up
+        # to the modulus used to run before the first level.  Level 1 is the
+        # unit ideal, which ends the sum.
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "fregular", "--prime", "2", "--vars", "x", "--divisor", "1/1000000007*(x)")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "strongly F-regular: yes\n")
+
     @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
     def test_froot_huge_level(self, capsys, ideal, root):
         # p^e is never formed past the largest exponent: the root of (x) at
@@ -337,19 +367,21 @@ class TestFlagContract:
         ("tau", "--emax", "3"), ("tau", "--probe", "1"),
         ("fregular", "--emax", "3"), ("fregular", "--probe", "1"),
         ("fpure", "--probe", "1"), ("fpure", "--nmax", "5"), ("fpure", "--window", "1"),
+        ("sigma", "--window", "1"), ("tau", "--window", "1"), ("fregular", "--window", "1"),
+        ("restrict-check", "--window", "1"), ("compare-monomial", "--window", "1"),
     ]
     # command -> (library function patched in fsing.cli, how the handler
     # passes its SigmaOptions, budget flags the command reads)
-    EVERY = ("emax", "probe", "nmax", "window")
+    EVERY = ("emax", "probe", "nmax")
     CALLS = {
         "sigma": ("sigma", lambda args, kwargs: args[1], EVERY),
-        "tau": ("tau_b", lambda args, kwargs: args[1], ("nmax", "window")),
+        "tau": ("tau_b", lambda args, kwargs: args[1], ("nmax",)),
         "fpure": ("is_sharply_fpure", lambda args, kwargs: args[1], ("emax",)),
-        "fregular": ("is_strongly_fregular", lambda args, kwargs: args[1], ("nmax", "window")),
+        "fregular": ("is_strongly_fregular", lambda args, kwargs: args[1], ("nmax",)),
         "restrict-check": ("check_restriction", lambda args, kwargs: args[0].opts, EVERY),
         "compare-monomial": ("verify_monomial_theorem", lambda args, kwargs: kwargs["opts"], EVERY),
     }
-    FIELDS = {"emax": ("e_max", 7), "probe": ("probe", 3), "nmax": ("n_max", 9), "window": ("window", 5)}
+    FIELDS = {"emax": ("e_max", 7), "probe": ("probe", 3), "nmax": ("n_max", 9)}
 
     @pytest.mark.parametrize("command, flag, value", REMOVED, ids=[f"{c}{f}" for c, f, _ in REMOVED])
     def test_removed_flags_are_refused(self, capsys, command, flag, value):

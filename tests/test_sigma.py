@@ -33,7 +33,7 @@ from fsing import (
     verify_monomial_theorem,
 )
 from fsing.errors import DegreeGuardError, NonconvergenceError
-from fsing.nonfpure import _LatticeLane, _PolynomialLane, _ceil_mul
+from fsing.nonfpure import _LatticeLane, _PolynomialLane, _ceil_mul, _lane
 from fsing.ring import exponent_antichain, monomial_divides
 
 from oracles import random_monomial_gens, random_poly_terms
@@ -393,7 +393,7 @@ class TestDigitProducts:
 
 
 class TestDriverSemantics:
-    """Window, iteration and message semantics shared by the three chains."""
+    """Stopping, iteration and message semantics shared by the three chains."""
 
     @staticmethod
     def fields(result):
@@ -401,26 +401,36 @@ class TestDriverSemantics:
 
     def test_cartier_chain_starts_at_member_one(self):
         # member 1 is already R, but only member 1 against member 2 counts as
-        # a repeat; the descending chain compares step(R) against R itself
+        # a repeat, and the chain stops there with no probe; the descending
+        # chain compares step(R) against R itself
         T = cusp_triple(5, Fraction(1, 2))
-        assert self.fields(sigma_fast_cartier(T)) == ("(1)", 1, 5, True)
+        assert self.fields(sigma_fast_cartier(T)) == ("(1)", 1, 2, True)
         assert self.fields(sigma(T)) == ("(1)", 0, 6, True)
 
     def test_window_one_without_probe(self):
+        # both descending chains stop at their first repeat (a window of
+        # one); with no probe the levels end at e_max, or at member 2 * e0
         T = cusp_triple(5, Fraction(5, 6))
-        opts = SigmaOptions(window=1, probe=0)
+        opts = SigmaOptions(probe=0)
         assert self.fields(sigma(T, opts)) == ("(x, y)", 1, 4, True)
         assert self.fields(sigma_fast_cartier(T, opts)) == ("(x, y)", 1, 4, True)
 
+    def test_first_repeat_within_n_max(self):
+        # the chain is R, (x, y), (x, y): fixed at n = 1 and seen at n = 2
+        assert self.fields(sigma(cusp_triple(5), SigmaOptions(n_max=2))) == ("(x, y)", 1, 6, True)
+
     def test_nonconvergence_messages(self):
-        # the tau window is widened to 3 by the denominator 100 = 4 * 25
+        # the tau window is widened to 3 by the denominator 100 = 4 * 25; the
+        # order 10 of 2 mod 11 passes n_max = 2, so that window is n_max + 1
         cases = [
             (tau_b, cusp_triple(5, Fraction(79, 100)), SigmaOptions(n_max=2),
              "test-ideal sum did not stabilize within 2 levels (window 3)"),
+            (tau_b, cusp_triple(2, Fraction(7, 11)), SigmaOptions(n_max=2),
+             "test-ideal sum did not stabilize within 2 levels (window 3)"),
             (sigma, cusp_triple(5), SigmaOptions(n_max=1),
-             "chain did not stabilize within 1 iterations (window 2)"),
+             "chain did not stabilize within 1 iterations"),
             (sigma_fast_cartier, cusp_triple(5), SigmaOptions(n_max=1),
-             "Cartier chain did not stabilize within 1 members (window 2)"),
+             "Cartier chain did not stabilize within 1 members"),
         ]
         for chain, T, opts, message in cases:
             with pytest.raises(NonconvergenceError) as exc:
@@ -487,6 +497,27 @@ class TestCartier:
                 continue
             opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0))
             assert sigma(T, opts).ideal == sigma_fast_cartier(T).ideal, T
+            checked += 1
+        assert checked >= 100
+
+    def test_cartier_recursion_seeded(self):
+        # member l + 1 is the level-e0 summand of member l, since
+        # (I^[q] K)^[1/q] = I K^[1/q]: so the chain's first repeat is final
+        rng = random.Random(5102)
+        checked = 0
+        for _ in range(150):
+            p = rng.choice([2, 3, 5, 7])
+            R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
+            T = Triple(R, random_divisor(rng, R))
+            e0 = cartier_period(T)
+            if e0 is None:
+                continue
+            lane = _lane(T, SigmaOptions())
+            member = lane.level(lane.unit, e0)
+            for l in (1, 2):
+                after = lane.level(lane.unit, (l + 1) * e0)
+                assert after == lane.level(member, e0), (T, l)
+                member = after
             checked += 1
         assert checked >= 100
 
