@@ -307,7 +307,7 @@ def _build_ring(args) -> PolyRing:
 # budget flag -> (SigmaOptions field, help)
 _BUDGET = {
     "emax": ("e_max", "largest Frobenius level per step"),
-    "probe": ("probe", "extra stability-probe levels"),
+    "probe": ("probe", "extra stability-probe levels, skipped where the answer is proven"),
     "nmax": ("n_max", "iteration bound"),
 }
 

@@ -314,14 +314,14 @@ def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     """The integral closure of a^n: lattice points of n * P(a).
 
     Defined for every monomial ideal: the unit ideal and n = 0 give R, the
-    zero ideal stays zero.
+    zero ideal stays zero, and a principal ideal's power is already closed.
     """
     if n < 0:
         raise ValueError("negative power")
     if n == 0 or a.is_unit():
         return MonomialIdeal.unit(a.nvars)
-    if a.is_zero():
-        return a
+    if len(a.generators) <= 1:
+        return MonomialIdeal(a.nvars, [tuple(n * g for g in gen) for gen in a.generators])
     P = newton_hull(a)
     k = a.nvars
     ub = [n * P.coordinate_maximum(i) for i in range(k - 1)]

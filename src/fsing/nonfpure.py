@@ -20,7 +20,9 @@ ceil(t_i p^e) and plain powers of a.
 Truncating the sum at e_max only shrinks the result, and the step is
 monotone in J, so the truncated limit always sits inside the true ideal;
 the probe (recomputing the final step at a few larger e) is a stability
-check that the truncation did not lose anything visible.
+check that the truncation did not lose anything visible.  A chain member J
+has step(J) inside J, so the first level containing J ends the final step;
+``sigma`` skips the probe where it cannot fail.
 
 Each level is evaluated by one of two lanes, chosen once per triple; a
 lane owns its caches, the step, the tail sums and the probe:
@@ -60,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from operator import mul
+from operator import ge, mul
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DegreeGuardError, NonconvergenceError
@@ -96,7 +98,7 @@ class SigmaOptions:
     """Budgets for the stabilizing iterations.
 
     e_max: largest Frobenius level in each step's sum.
-    probe: extra levels checked after stabilization (stability evidence).
+    probe: extra levels checked after stabilization, unless ``sigma`` has a proof.
     n_max: bound on iterations before giving up.
     """
 
@@ -204,9 +206,10 @@ class SigmaResult:
     """Outcome of a stabilizing chain.
 
     iterations: first n with chain_n = chain_{n+1}.
-    e_max_used: largest Frobenius level evaluated (probe included).
+    e_max_used: largest level evaluated; a covering level or a skipped probe keeps it low.
     probe_stable: the probe levels added nothing to the final ideal; True
-    by proof on the Cartier chain, which has no probe.
+    by proof on the Cartier chain, which has no probe, and where ``sigma``
+    skips the probe.
     """
 
     ideal: Ideal
@@ -246,7 +249,8 @@ class _Lane:
 
     A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
     ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
-    summands), ``contains`` and ``to_ideal``; both lanes give the same ideals.
+    summands), ``contains``, ``covers`` (a level holds the state) and
+    ``to_ideal``; both lanes give the same ideals.
     """
 
     def __init__(self, triple: Triple, opts: SigmaOptions):
@@ -265,6 +269,17 @@ class _Lane:
 
     def step(self, state):
         return self.tail(state, 1, self.opts.e_max)
+
+    def chain_step(self, state):
+        """``step`` of a chain member, which the monotone step maps inside
+        itself: a level that already contains it proves the fixed point, so
+        the first such level ends the sum and the state is returned."""
+        levels = []
+        for e in range(1, self.opts.e_max + 1):
+            levels.append(self.level(state, e))
+            if self.covers(levels[-1], state):
+                return state
+        return self.join(levels)
 
     def probe(self, state) -> bool:
         """True when levels (e_max, e_max + probe] add nothing to ``state``."""
@@ -318,6 +333,10 @@ class _PolynomialLane(_Lane):
     @staticmethod
     def contains(J: Ideal, term: Ideal) -> bool:
         return J.contains_ideal(term)
+
+    @staticmethod
+    def covers(term: Ideal, J: Ideal) -> bool:
+        return all(map(term.contains, J.groebner_basis().elements))
 
     @staticmethod
     def to_ideal(J: Ideal) -> Ideal:
@@ -391,6 +410,11 @@ class _LatticeLane(_Lane):
     def contains(self, state: tuple[Exponent, ...], level: _Regions) -> bool:
         return exponent_antichain(chain(state, *self._points([level]))) == state
 
+    def covers(self, level: _Regions, state: tuple[Exponent, ...]) -> bool:
+        """Whether each g of ``state`` lies in a region of ``level``, a level of
+        ``state`` (so <v, g> is kept): g >= lb and <v, g> >= r_v, with no walk."""
+        return all(any(all(map(ge, (*g, *self._dots[g]), key)) for key in level) for g in state)
+
     def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
         return MonomialIdeal(self.ring.nvars, state).to_ideal(self.ring)
 
@@ -405,17 +429,23 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     The step is a function of the state, so the chain stops at its first
     repeat, a fixed point; then the probe recomputes the final step at
     levels up to e_max + probe and reports whether they added anything.
+    It reports True unrun at R, which holds every level, and on
+    divisor-only triples with a Cartier period e0 <= e_max: there level
+    e + e0 is level e0 of level e (see ``sigma_fast_cartier``), so by
+    induction every level lies inside the fixed point.
     """
     opts = opts or SigmaOptions()
     lane = _lane(T, opts)
     state, n = _stabilize(
-        lambda s, _: lane.step(s),
+        lambda s, _: lane.chain_step(s),
         lane.unit,
         1,
         opts.n_max,
         f"chain did not stabilize within {opts.n_max} iterations",
     )
-    probe_ok = lane.probe(state)  # before max_e_used is read: the probe levels count
+    e0 = cartier_period(T) if T.a is None else None
+    proven = state == lane.unit or (e0 is not None and e0 <= opts.e_max)
+    probe_ok = proven or lane.probe(state)  # before max_e_used is read: the probe levels count
     return SigmaResult(lane.to_ideal(state), n - 1, lane.max_e_used, probe_ok)
 
 
@@ -548,10 +578,10 @@ def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:
 
     One step suffices both ways: the chain starts at R, so step(R) = R
     means the chain is constant, while step(R) proper traps the whole
-    chain inside a proper ideal.
+    chain inside a proper ideal.  The first level that is R ends the step.
     """
     lane = _lane(T, opts or SigmaOptions())
-    return lane.step(lane.unit) == lane.unit
+    return lane.chain_step(lane.unit) == lane.unit
 
 
 def is_strongly_fregular(T: Triple, opts: SigmaOptions | None = None) -> bool:

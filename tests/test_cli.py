@@ -337,6 +337,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (0, "strongly F-regular: yes\n")
 
+    def test_unit_mixed_row_skips_the_probe(self, capsys):
+        # level 1 of the p = 11 mixed row is already R, which ends the step;
+        # R holds every level, so the probe at levels 4 and 5 (about 8 s) is
+        # not run
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "sigma", "--prime", "11", "--vars", "x,y", "--divisor", "1/2*(x^3 - y^2)",
+                              "--ideal", "[x^2, y^3]", "--t", "1/2", "--emax", "3")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "sigma = (1)\nn = 0  e_max = 1  probe_stable = yes\n")
+
     @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
     def test_froot_huge_level(self, capsys, ideal, root):
         # p^e is never formed past the largest exponent: the root of (x) at

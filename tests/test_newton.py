@@ -243,6 +243,11 @@ class TestClosurePowers:
         assert integral_closure_power(MonomialIdeal.unit(2), 4).is_unit()
         assert integral_closure_power(MonomialIdeal(2), 2).is_zero()
 
+    def test_one_generator_builds_no_box(self):
+        # the box [0, 2400 * 2]^2 passes MAX_BOX_POINTS; a principal power is closed
+        closure = integral_closure_power(MonomialIdeal(3, [(1, 2, 0)]), 2400)
+        assert closure.generators == ((2400, 4800, 0),)
+
 
 class TestThresholds:
     def test_lct_values(self):

@@ -149,14 +149,15 @@ class TestMixedTriple:
     def test_p7_row_at_three_levels(self):
         # the same triple at p = 7, e_max = 3: the walks hold thousands of
         # points, and a pairwise minimal-element filter took 52 s on them;
-        # the values below were recorded from that slow run
+        # the values below were recorded from that slow run, but for the one
+        # level now evaluated: level 1 is R, which ends the step with no probe
         R = PolyRing(7, ["x", "y"])
         x, y = R.variable(0), R.variable(1)
         T = Triple(R, QDivisor([(Fraction(1, 2), x**3 - y**2)]), MonomialIdeal(2, [(2, 0), (0, 3)]), Fraction(1, 2))
         start = time.perf_counter()
         result = sigma(T, SigmaOptions(e_max=3))
         assert time.perf_counter() - start < 10.0
-        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(1)", 0, 5, True)
+        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(1)", 0, 1, True)
 
 
 class TestFormalPowerSensitivity:
@@ -402,10 +403,11 @@ class TestDriverSemantics:
     def test_cartier_chain_starts_at_member_one(self):
         # member 1 is already R, but only member 1 against member 2 counts as
         # a repeat, and the chain stops there with no probe; the descending
-        # chain compares step(R) against R itself
+        # chain compares step(R) against R itself, and level 1 is already R,
+        # which ends the step and needs no probe
         T = cusp_triple(5, Fraction(1, 2))
         assert self.fields(sigma_fast_cartier(T)) == ("(1)", 1, 2, True)
-        assert self.fields(sigma(T)) == ("(1)", 0, 6, True)
+        assert self.fields(sigma(T)) == ("(1)", 0, 1, True)
 
     def test_window_one_without_probe(self):
         # both descending chains stop at their first repeat (a window of
@@ -416,8 +418,10 @@ class TestDriverSemantics:
         assert self.fields(sigma_fast_cartier(T, opts)) == ("(x, y)", 1, 4, True)
 
     def test_first_repeat_within_n_max(self):
-        # the chain is R, (x, y), (x, y): fixed at n = 1 and seen at n = 2
-        assert self.fields(sigma(cusp_triple(5), SigmaOptions(n_max=2))) == ("(x, y)", 1, 6, True)
+        # the chain is R, (x, y), (x, y): fixed at n = 1 and seen at n = 2;
+        # the first step sums all four levels, and the Cartier period 1 skips
+        # the probe
+        assert self.fields(sigma(cusp_triple(5), SigmaOptions(n_max=2))) == ("(x, y)", 1, 4, True)
 
     def test_nonconvergence_messages(self):
         # the tau window is widened to 3 by the denominator 100 = 4 * 25; the
@@ -436,6 +440,114 @@ class TestDriverSemantics:
             with pytest.raises(NonconvergenceError) as exc:
                 chain(T, opts)
             assert str(exc.value) == message
+
+
+class TestChainStep:
+    """The chain's step ends at the first level that contains the state, and
+    the probe is skipped where its answer is proven."""
+
+    @staticmethod
+    def draw(rng: random.Random) -> tuple[Triple, SigmaOptions]:
+        kind = rng.choice(("divisor", "monomial", "mixed"))
+        R = PolyRing(rng.choice((2, 3, 5, 7)), ["x", "y"][: rng.randint(1, 2)])
+        D = random_divisor(rng, R) if kind != "monomial" else None
+        a, t = None, 1
+        if kind != "divisor":
+            a = MonomialIdeal(R.nvars, random_monomial_gens(rng, R.nvars, rng.randint(1, 2), 3))
+            t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        return Triple(R, D, a, t), SigmaOptions(e_max=rng.randint(1, 4), probe=rng.randint(0, 3))
+
+    @staticmethod
+    def reference(T: Triple, opts: SigmaOptions) -> tuple[str, int, bool, int]:
+        """The chain from full level sums, with the probe always run."""
+        lane = _lane(T, opts)
+        state = lane.unit
+        for n in range(opts.n_max):
+            new = lane.step(state)
+            if new == state:
+                stable = lane.probe(state)
+                return str(lane.to_ideal(state)), n, stable, lane.max_e_used
+            state = new
+        raise NonconvergenceError("reference chain did not stabilize")
+
+    def test_matches_full_sum_chain(self):
+        # ideal, iterations and probe_stable are those of the full-sum chain
+        # with its probe; only the levels evaluated may fall
+        rng = random.Random(99)
+        decided = fewer = 0
+        for _ in range(120):
+            T, opts = self.draw(rng)
+            try:
+                ideal, n, stable, e_max = self.reference(T, opts)
+            except (NonconvergenceError, DegreeGuardError):
+                continue
+            result = sigma(T, opts)
+            assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, stable), (T, opts)
+            assert result.e_max_used <= e_max, (T, opts)
+            decided += 1
+            fewer += result.e_max_used < e_max
+        assert decided >= 100 and fewer
+
+    def test_skipped_probe_would_pass(self):
+        # divisor-only with a Cartier period e0 <= e_max: level e + e0 of the
+        # fixed point is level e0 of level e, so every probe level lies inside
+        rng = random.Random(5103)
+        checked = 0
+        for _ in range(200):
+            R = PolyRing(rng.choice((2, 3, 5, 7)), ["x", "y"][: rng.randint(1, 2)])
+            T = Triple(R, random_divisor(rng, R))
+            e0 = cartier_period(T)
+            e_max = rng.randint(1, 4)
+            if e0 is None or e0 > e_max:
+                continue
+            opts = SigmaOptions(e_max=e_max, probe=3)
+            result = sigma(T, opts)
+            assert result.probe_stable and result.e_max_used <= e_max
+            assert _lane(T, opts).probe(result.ideal), T
+            checked += 1
+        assert checked >= 100
+
+    def test_probe_still_fails_without_a_proof(self):
+        # the period of 3 mod 10 is 4 > e_max = 1, so the probe runs; its
+        # first level, 2, already adds to the truncated value
+        R = PolyRing(3, ["x"])
+        x = R.variable(0)
+        T = Triple(R, QDivisor([(Fraction(3, 2), x), (Fraction(8, 5), x**3)]))
+        result = sigma(T, SigmaOptions(e_max=1))
+        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(x^7)", 3, 2, False)
+
+    @pytest.mark.parametrize("monomial", [False, True])
+    def test_sigma_step_sums_every_level(self, monomial):
+        # (x^2) is no chain member for x^(1/2) at p = 2: level 1 is (x), which
+        # contains it, yet level 3 is R, so only the chain may stop at a cover
+        R = PolyRing(2, ["x"])
+        x = R.variable(0)
+        if monomial:
+            T = Triple(R, a=MonomialIdeal(1, [(1,)]), t=Fraction(1, 2))
+        else:
+            T = Triple(R, QDivisor([(Fraction(1, 2), x)]))
+        J = Ideal(R, [x**2])
+        lane = _lane(T, SigmaOptions())
+        state = ((2,),) if monomial else J
+        assert lane.covers(lane.level(state, 1), state)
+        assert lane.chain_step(state) == state
+        assert sigma_step(J, T).is_unit()
+
+    def test_lattice_cover_matches_walk(self, rng):
+        # the key test g >= lb, <v, g> >= r_v agrees with the walked level
+        seen = set()
+        for _ in range(40):
+            n, p = rng.randint(1, 3), rng.choice((2, 3, 5))
+            T = Triple(PolyRing(p, ["x", "y", "z"][:n]), a=MonomialIdeal(n, random_monomial_gens(rng, n, 2, 4)),
+                       t=Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+            lane = _LatticeLane(T, SigmaOptions())
+            state = exponent_antichain(random_monomial_gens(rng, n, 3, 6))
+            for e in (1, 2):
+                level = lane.level(state, e)
+                walked = lane.join([level])
+                assert lane.covers(level, state) == (exponent_antichain([*walked, *state]) == walked)
+                seen.add(lane.covers(level, state))
+        assert seen == {True, False}
 
 
 class TestTails:
