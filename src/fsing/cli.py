@@ -306,8 +306,8 @@ def _build_ring(args) -> PolyRing:
 
 # budget flag -> (SigmaOptions field, help)
 _BUDGET = {
-    "emax": ("e_max", "largest Frobenius level per step"),
-    "probe": ("probe", "extra stability-probe levels, skipped where the answer is proven"),
+    "emax": ("e_max", "largest Frobenius level per step, unless the triple has a Cartier period"),
+    "probe": ("probe", "extra stability-probe levels, unless the chain ends at R or has a Cartier period"),
     "nmax": ("n_max", "iteration bound"),
 }
 
@@ -491,7 +491,7 @@ def _cmd_restrict_check(args):
 def _cmd_fpure(args):
     ring = _build_ring(args)
     flag = is_sharply_fpure(_triple_from_args(args, ring), _budget_opts(args))
-    return [f"sharply F-pure: {_yes(flag)}"], {"fpure": flag}, _diagnostics(e_max=args.emax)
+    return [f"sharply F-pure: {_yes(flag)}"], {"fpure": flag}, _diagnostics()
 
 
 def _cmd_fregular(args):

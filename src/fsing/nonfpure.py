@@ -24,14 +24,19 @@ check that the truncation did not lose anything visible.  A chain member J
 has step(J) inside J, so the first level containing J ends the final step;
 ``sigma`` skips the probe where it cannot fail.
 
+A divisor-only triple with a Cartier period e0 (``cartier_period``: every
+t_i (p^e0 - 1) integral) needs no sum: its step is level e0 alone, whose
+iterates from R are the levels n*e0 of R, as (I^{[q]} K)^{[1/q]} = I K^{[1/q]}
+(Blickle-Mustata-Smith), and they descend to Blickle's stable image, the
+exact value, with no truncation and no probe.
+
 Each level is evaluated by one of two lanes, chosen once per triple; a
 lane owns its caches, the step, the tail sums and the probe:
 
 * the polynomial lane holds ideals of R and takes every root one base-p
   digit of the f_i exponents at a time (``root_of_product``, called from
-  ``_PolynomialLane.root`` only), so f_i^N is never expanded; the Cartier
-  chain and the test-ideal sum of a triple with a divisor take their
-  levels from it too;
+  ``_PolynomialLane.root`` only), so f_i^N is never expanded; the
+  test-ideal sum of a triple with a divisor takes its levels from it too;
 * the lattice lane serves triples whose divisor list is empty: they never
   leave the lattice of monomial ideals, held as exponent antichains, and a
   monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
@@ -47,12 +52,12 @@ e is the root (a^n)^{[1/p^e]} of a plain power, n = ceil(t p^e), taken one
 base-p digit of n at a time through a^m = sum_d x^{d.g} (a^{(m - |d|)/p})^{[p]}
 over digit vectors d (``monomial_power_root``), so a^n is never expanded.
 
-The descending chain, the Cartier chain and the ascending test-ideal sum
-all run on one driver, ``_stabilize``, over the lane ``_lane`` picks, and
-each caller keeps its own failure message.  The two descending chains apply
-a function of the state, so their first repeat is a fixed point and ends
-them; the test-ideal summands move with the level, so their sum waits for a
-window of repeats derived from the denominators.
+The descending chain and the ascending test-ideal sum both run on one
+driver, ``_stabilize``, over the lane ``_lane`` picks, and each caller keeps
+its own failure message.  The descending chain applies a function of the
+state, so its first repeat is a fixed point and ends it; the test-ideal
+summands move with the level, so their sum waits for a window of repeats
+derived from the denominators.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ def _order_mod(p: int, m: int, bound: int) -> int | None:
 class SigmaOptions:
     """Budgets for the stabilizing iterations.
 
-    e_max: largest Frobenius level in each step's sum.
+    e_max: largest Frobenius level in each step's sum; unused by a Cartier step.
     probe: extra levels checked after stabilization, unless ``sigma`` has a proof.
     n_max: bound on iterations before giving up.
     """
@@ -206,10 +211,10 @@ class SigmaResult:
     """Outcome of a stabilizing chain.
 
     iterations: first n with chain_n = chain_{n+1}.
-    e_max_used: largest level evaluated; a covering level or a skipped probe keeps it low.
+    e_max_used: largest level evaluated; the Cartier period e0 on a chain
+    that steps by it, else kept low by a covering level or a skipped probe.
     probe_stable: the probe levels added nothing to the final ideal; True
-    by proof on the Cartier chain, which has no probe, and where ``sigma``
-    skips the probe.
+    by proof where ``sigma`` skips the probe, at R and on a Cartier period.
     """
 
     ideal: Ideal
@@ -244,8 +249,9 @@ def _stabilize(
 
 
 class _Lane:
-    """One chain lane for one triple: the step of the descending chain and
-    the largest level evaluated, ``max_e_used``.
+    """One chain lane for one triple: the step of the descending chain, the
+    Cartier ``period`` of a divisor-only triple (None if it has none) and the
+    largest level evaluated, ``max_e_used``.
 
     A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
     ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
@@ -258,6 +264,7 @@ class _Lane:
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
+        self.period = cartier_period(triple) if triple.a is None else None
 
     def level(self, state, e: int):
         self.max_e_used = max(self.max_e_used, e)
@@ -271,9 +278,12 @@ class _Lane:
         return self.tail(state, 1, self.opts.e_max)
 
     def chain_step(self, state):
-        """``step`` of a chain member, which the monotone step maps inside
-        itself: a level that already contains it proves the fixed point, so
-        the first such level ends the sum and the state is returned."""
+        """The Cartier step, level ``period`` of ``state``, where a period
+        exists; else ``step`` of a chain member, which the monotone step maps
+        inside itself: a level that already contains it proves the fixed
+        point, so the first such level ends the sum and the state is returned."""
+        if self.period is not None:
+            return self.level(state, self.period)
         levels = []
         for e in range(1, self.opts.e_max + 1):
             levels.append(self.level(state, e))
@@ -424,15 +434,15 @@ def _lane(T: Triple, opts: SigmaOptions) -> _Lane:
 
 
 def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
-    """The limit of the descending chain from R under the step above.
+    """The limit of the descending chain from R under the lane's step.
 
     The step is a function of the state, so the chain stops at its first
-    repeat, a fixed point; then the probe recomputes the final step at
-    levels up to e_max + probe and reports whether they added anything.
-    It reports True unrun at R, which holds every level, and on
-    divisor-only triples with a Cartier period e0 <= e_max: there level
-    e + e0 is level e0 of level e (see ``sigma_fast_cartier``), so by
-    induction every level lies inside the fixed point.
+    repeat, a fixed point.  On a divisor-only triple with a Cartier period
+    e0 the step is level e0 and the fixed point is the exact value, whatever
+    e_max is.  Otherwise the step sums levels 1..e_max, and the probe
+    recomputes the final step at levels up to e_max + probe and reports
+    whether they added anything.  The probe reports True unrun at R, which
+    holds every level, and on a Cartier period.
     """
     opts = opts or SigmaOptions()
     lane = _lane(T, opts)
@@ -443,8 +453,7 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
         opts.n_max,
         f"chain did not stabilize within {opts.n_max} iterations",
     )
-    e0 = cartier_period(T) if T.a is None else None
-    proven = state == lane.unit or (e0 is not None and e0 <= opts.e_max)
+    proven = state == lane.unit or lane.period is not None
     probe_ok = proven or lane.probe(state)  # before max_e_used is read: the probe levels count
     return SigmaResult(lane.to_ideal(state), n - 1, lane.max_e_used, probe_ok)
 
@@ -494,36 +503,6 @@ def cartier_period(T: Triple) -> int | None:
     if L % T.ring.p == 0:
         return None
     return _order_mod(T.ring.p, L, MAX_CARTIER_PERIOD)
-
-
-def sigma_fast_cartier(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
-    """Direct chain for divisor-only triples with a Cartier period e0:
-    the n-th member is the p^{n*e0}-th root of prod f_i^{t_i (p^{n*e0} - 1)}
-    (integral exponents by the choice of e0), so no inner sum over e is
-    needed.  The chain starts at its first member, not at R, and stops at
-    its first repeat: member l + 1 is the level-e0 summand of member l, as
-    (I^{[q]} K)^{[1/q]} = I K^{[1/q]} (Blickle-Mustata-Smith), so every later
-    member repeats it too and no probe is run.
-    """
-    opts = opts or SigmaOptions()
-    if T.a is not None:
-        raise ValueError("the fast Cartier chain requires a divisor-only triple")
-    e0 = cartier_period(T)
-    if e0 is None:
-        raise ValueError(
-            "no Cartier period: p divides a coefficient denominator "
-            f"or the period exceeds nonfpure.MAX_CARTIER_PERIOD = {MAX_CARTIER_PERIOD}"
-        )
-    lane = _lane(T, opts)
-    # no member equals None, so the first one counts as growth from None
-    current, l = _stabilize(
-        lambda _, l: lane.level(lane.unit, l * e0),
-        None,
-        1,
-        opts.n_max,
-        f"Cartier chain did not stabilize within {opts.n_max} members",
-    )
-    return SigmaResult(current, l - 1, lane.max_e_used, True)
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -578,7 +557,8 @@ def is_sharply_fpure(T: Triple, opts: SigmaOptions | None = None) -> bool:
 
     One step suffices both ways: the chain starts at R, so step(R) = R
     means the chain is constant, while step(R) proper traps the whole
-    chain inside a proper ideal.  The first level that is R ends the step.
+    chain inside a proper ideal.  On a Cartier period e0 the step is level
+    e0; otherwise the first level that is R ends the step.
     """
     lane = _lane(T, opts or SigmaOptions())
     return lane.chain_step(lane.unit) == lane.unit

@@ -1,9 +1,10 @@
-"""The stabilizing chains: sigma, its tails, the Cartier shortcut, tau."""
+"""The stabilizing chains: sigma (level sums or a Cartier step), its tails, tau."""
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from fsing import (
     is_strongly_fregular,
     newton_ideal,
     sigma,
-    sigma_fast_cartier,
     sigma_prime_n,
     sigma_step,
     tau_b,
@@ -374,10 +374,9 @@ class TestDigitProducts:
         result = sigma(T, SigmaOptions(e_max=4, probe=2))
         assert calls == [4]
         assert result.ideal == maximal_ideal(T.ring) and result.probe_stable
-        for chain in (tau_b, sigma_fast_cartier):
-            calls.clear()
-            chain(T)
-            assert len(calls) == 1
+        calls.clear()
+        tau_b(T)
+        assert len(calls) == 1
 
     def test_restriction_forms_one_power_per_factor(self, monkeypatch):
         R = PolyRing(7, ["x", "y", "z"])
@@ -394,34 +393,31 @@ class TestDigitProducts:
 
 
 class TestDriverSemantics:
-    """Stopping, iteration and message semantics shared by the three chains."""
+    """Stopping, iteration and message semantics shared by the chains."""
 
     @staticmethod
     def fields(result):
         return str(result.ideal), result.iterations, result.e_max_used, result.probe_stable
 
     def test_cartier_chain_starts_at_member_one(self):
-        # member 1 is already R, but only member 1 against member 2 counts as
-        # a repeat, and the chain stops there with no probe; the descending
-        # chain compares step(R) against R itself, and level 1 is already R,
-        # which ends the step and needs no probe
-        T = cusp_triple(5, Fraction(1, 2))
-        assert self.fields(sigma_fast_cartier(T)) == ("(1)", 1, 2, True)
-        assert self.fields(sigma(T)) == ("(1)", 0, 1, True)
+        # the period is 1: the chain compares member 1, level 1 of R, against
+        # R itself; member 1 is already R, so the chain stops at n = 1 with
+        # no probe
+        assert self.fields(sigma(cusp_triple(5, Fraction(1, 2)))) == ("(1)", 0, 1, True)
 
     def test_window_one_without_probe(self):
-        # both descending chains stop at their first repeat (a window of
-        # one); with no probe the levels end at e_max, or at member 2 * e0
+        # the chain stops at its first repeat (a window of one); the Cartier
+        # step of period 2 evaluates level 2 alone, while the level sums of
+        # the full-sum chain run to e_max
         T = cusp_triple(5, Fraction(5, 6))
         opts = SigmaOptions(probe=0)
-        assert self.fields(sigma(T, opts)) == ("(x, y)", 1, 4, True)
-        assert self.fields(sigma_fast_cartier(T, opts)) == ("(x, y)", 1, 4, True)
+        assert self.fields(sigma(T, opts)) == ("(x, y)", 1, 2, True)
+        assert TestChainStep.reference(T, opts) == ("(x, y)", 1, True, 4)
 
     def test_first_repeat_within_n_max(self):
         # the chain is R, (x, y), (x, y): fixed at n = 1 and seen at n = 2;
-        # the first step sums all four levels, and the Cartier period 1 skips
-        # the probe
-        assert self.fields(sigma(cusp_triple(5), SigmaOptions(n_max=2))) == ("(x, y)", 1, 4, True)
+        # each step is level 1, the Cartier period, which also skips the probe
+        assert self.fields(sigma(cusp_triple(5), SigmaOptions(n_max=2))) == ("(x, y)", 1, 1, True)
 
     def test_nonconvergence_messages(self):
         # the tau window is widened to 3 by the denominator 100 = 4 * 25; the
@@ -433,8 +429,9 @@ class TestDriverSemantics:
              "test-ideal sum did not stabilize within 2 levels (window 3)"),
             (sigma, cusp_triple(5), SigmaOptions(n_max=1),
              "chain did not stabilize within 1 iterations"),
-            (sigma_fast_cartier, cusp_triple(5), SigmaOptions(n_max=1),
-             "Cartier chain did not stabilize within 1 members"),
+            # p = 5 divides den = 5: level sums, the same message
+            (sigma, cusp_triple(5, Fraction(4, 5)), SigmaOptions(n_max=1),
+             "chain did not stabilize within 1 iterations"),
         ]
         for chain, T, opts, message in cases:
             with pytest.raises(NonconvergenceError) as exc:
@@ -472,25 +469,34 @@ class TestChainStep:
 
     def test_matches_full_sum_chain(self):
         # ideal, iterations and probe_stable are those of the full-sum chain
-        # with its probe; only the levels evaluated may fall
+        # with its probe; only the levels evaluated may fall.  A Cartier
+        # period e0 steps by level e0 alone, the exact value: it matches the
+        # full sums at e_max >= e0 in no more iterations, proven, at level e0
         rng = random.Random(99)
         decided = fewer = 0
         for _ in range(120):
             T, opts = self.draw(rng)
+            e0 = _lane(T, opts).period
+            ref_opts = opts if e0 is None else replace(opts, e_max=max(opts.e_max, e0))
             try:
-                ideal, n, stable, e_max = self.reference(T, opts)
+                ideal, n, stable, e_max = self.reference(T, ref_opts)
             except (NonconvergenceError, DegreeGuardError):
                 continue
             result = sigma(T, opts)
-            assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, stable), (T, opts)
-            assert result.e_max_used <= e_max, (T, opts)
+            if e0 is None:
+                assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, stable), (T, opts)
+                assert result.e_max_used <= e_max, (T, opts)
+            else:
+                assert (str(result.ideal), result.probe_stable, result.e_max_used) == (ideal, True, e0), (T, opts)
+                assert result.iterations <= n and stable, (T, opts)
             decided += 1
             fewer += result.e_max_used < e_max
         assert decided >= 100 and fewer
 
     def test_skipped_probe_would_pass(self):
-        # divisor-only with a Cartier period e0 <= e_max: level e + e0 of the
-        # fixed point is level e0 of level e, so every probe level lies inside
+        # divisor-only with a Cartier period e0, whatever e_max is: level
+        # e + e0 of the fixed point is level e0 of level e, so every probe
+        # level lies inside
         rng = random.Random(5103)
         checked = 0
         for _ in range(200):
@@ -498,23 +504,23 @@ class TestChainStep:
             T = Triple(R, random_divisor(rng, R))
             e0 = cartier_period(T)
             e_max = rng.randint(1, 4)
-            if e0 is None or e0 > e_max:
+            if e0 is None:
                 continue
             opts = SigmaOptions(e_max=e_max, probe=3)
             result = sigma(T, opts)
-            assert result.probe_stable and result.e_max_used <= e_max
+            assert result.probe_stable and result.e_max_used == e0
             assert _lane(T, opts).probe(result.ideal), T
             checked += 1
         assert checked >= 100
 
     def test_probe_still_fails_without_a_proof(self):
-        # the period of 3 mod 10 is 4 > e_max = 1, so the probe runs; its
+        # p = 2 divides den = 4, so there is no period and the probe runs; its
         # first level, 2, already adds to the truncated value
-        R = PolyRing(3, ["x"])
+        R = PolyRing(2, ["x"])
         x = R.variable(0)
-        T = Triple(R, QDivisor([(Fraction(3, 2), x), (Fraction(8, 5), x**3)]))
+        T = Triple(R, QDivisor([(1, x), (Fraction(1, 4), x**3)]))
         result = sigma(T, SigmaOptions(e_max=1))
-        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(x^7)", 3, 2, False)
+        assert (str(result.ideal), result.iterations, result.e_max_used, result.probe_stable) == ("(x^3)", 2, 2, False)
 
     @pytest.mark.parametrize("monomial", [False, True])
     def test_sigma_step_sums_every_level(self, monomial):
@@ -589,15 +595,17 @@ class TestCartier:
         assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)]))) == 20
 
     def test_fast_chain_matches_sigma_on_cusp(self):
+        # integer coefficients: period 1, so the chain steps by level 1
         for p in (2, 3, 5):
             T = cusp_triple(p)
-            fast = sigma_fast_cartier(T)
-            assert fast.ideal == maximal_ideal(T.ring)
-            assert fast.probe_stable
+            result = sigma(T, SigmaOptions(e_max=3))
+            assert result.ideal == maximal_ideal(T.ring)
+            assert (result.e_max_used, result.probe_stable) == (1, True)
 
     def test_fast_chain_matches_sigma_seeded(self):
-        # divisor-only triples with a period e0: the descending chain with
-        # e_max = max(4, 2 e0) reaches the Cartier chain's value
+        # divisor-only triples with a period e0: the full-sum chain with
+        # e_max = max(4, 2 e0) reaches the value of the Cartier step, which
+        # gets there in no more iterations
         rng = random.Random(5101)
         checked = 0
         for _ in range(180):
@@ -607,8 +615,10 @@ class TestCartier:
             e0 = cartier_period(T)
             if e0 is None:
                 continue
-            opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0))
-            assert sigma(T, opts).ideal == sigma_fast_cartier(T).ideal, T
+            ideal, n, stable, _ = TestChainStep.reference(T, SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0)))
+            result = sigma(T)
+            assert (str(result.ideal), result.probe_stable, stable) == (ideal, True, True), T
+            assert result.iterations <= n, T
             checked += 1
         assert checked >= 100
 
@@ -636,19 +646,63 @@ class TestCartier:
     def test_fast_chain_principal_variable(self):
         R = PolyRing(5, ["y"])
         T = Triple(R, QDivisor([(2, R.variable(0))]))
-        result = sigma_fast_cartier(T)
+        result = sigma(T)
         assert str(result.ideal) == "(y)"
 
-    def test_fast_chain_requires_divisor_only(self):
-        R = PolyRing(5, ["x"])
-        T = Triple(R, a=MonomialIdeal(1, [(1,)]), t=1)
-        with pytest.raises(ValueError):
-            sigma_fast_cartier(T)
 
-    def test_fast_chain_requires_period(self):
-        T = cusp_triple(5, Fraction(4, 5))
-        with pytest.raises(ValueError):
-            sigma_fast_cartier(T)
+class TestOneVariableOracle:
+    """F_p[x] and D = sum c_i div(x^{k_i}) with p prime to every den(c_i):
+    with c = sum c_i k_i and q = p^e0, the Cartier step sends (x^m) to
+    (x^{floor((c(q - 1) + m)/q)}), whose first fixed point from m = 0 is
+    ceil(c) - 1."""
+
+    @staticmethod
+    def oracle(p: int, entries: list[tuple[Fraction, int]]) -> tuple[int, int]:
+        """(m, n): the exponent of the fixed point and the steps to reach it."""
+        c = sum(coef * k for coef, k in entries)
+        q = p
+        while any((coef * (q - 1)).denominator != 1 for coef, _ in entries):
+            q *= p
+        m, n = 0, 0
+        while (new := (c * (q - 1) + m) // q) != m:
+            m, n = new, n + 1
+        assert m == -(-c.numerator // c.denominator) - 1
+        return m, n
+
+    @staticmethod
+    def triple(p: int, entries: list[tuple[Fraction, int]]) -> Triple:
+        R = PolyRing(p, ["x"])
+        return Triple(R, QDivisor([(coef, R.variable(0) ** k) for coef, k in entries]))
+
+    def test_seeded(self):
+        rng = random.Random(1717)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 7))
+            entries = []
+            for _ in range(rng.randint(1, 3)):
+                den = rng.choice([d for d in range(1, 10) if d % p])
+                entries.append((Fraction(rng.randint(1, 2 * den), den), rng.randint(1, 3)))
+            m, n = self.oracle(p, entries)
+            T = self.triple(p, entries)
+            result = sigma(T)
+            assert result.ideal == Ideal(T.ring, [T.ring.variable(0) ** m]), (p, entries)
+            assert (result.iterations, result.probe_stable) == (n, True), (p, entries)
+
+    @pytest.mark.parametrize(
+        "entries, opts, m, full_sums",
+        [
+            # at the default e_max = 4 the level sums stop short, probe-stable
+            ([(Fraction(8, 7), 1), (Fraction(6, 7), 1)], SigmaOptions(), 1, ("(x^2)", 2, True, 6)),
+            # at e_max = 1 the level sums stop short, and their probe fails
+            ([(Fraction(3, 2), 1), (Fraction(8, 5), 3)], SigmaOptions(e_max=1), 6, ("(x^7)", 3, False, 2)),
+        ],
+    )
+    def test_pins_at_p3(self, entries, opts, m, full_sums):
+        T = self.triple(3, entries)
+        result = sigma(T, opts)
+        assert (result.ideal, result.probe_stable) == (Ideal(T.ring, [T.ring.variable(0) ** m]), True)
+        assert self.oracle(3, entries)[0] == m
+        assert TestChainStep.reference(T, opts) == full_sums
 
 
 class TestTau:
