@@ -23,7 +23,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import DegreeGuardError, NonconvergenceError, ParseError, RingMismatchError
@@ -306,16 +305,15 @@ def _build_ring(args) -> PolyRing:
 
 # budget flag -> (SigmaOptions field, help)
 _BUDGET = {
-    "emax": ("e_max", "largest Frobenius level per step, unless the triple has a Cartier period"),
-    "probe": ("probe", "extra stability-probe levels, unless the chain ends at R or has a Cartier period"),
+    "emax": ("e_max", "largest Frobenius level per step, unless the triple has a period"),
+    "probe": ("probe", "extra stability-probe levels, unless the chain ends at R or has a period"),
     "nmax": ("n_max", "iteration bound"),
 }
 
 
-def _budget_opts(args) -> SigmaOptions | None:
-    """SigmaOptions with every budget flag that was given; None when none was."""
-    given = {field: getattr(args, flag) for flag, (field, _) in _BUDGET.items() if getattr(args, flag, None) is not None}
-    return replace(SigmaOptions(), **given) if given else None
+def _budget_opts(args) -> SigmaOptions:
+    """SigmaOptions from the budget flags the command reads."""
+    return SigmaOptions(**{field: getattr(args, flag) for flag, (field, _) in _BUDGET.items() if hasattr(args, flag)})
 
 
 def _add_ring_flags(sub, prime: bool = True, order: bool = True):
@@ -326,13 +324,11 @@ def _add_ring_flags(sub, prime: bool = True, order: bool = True):
         sub.add_argument("--order", choices=("grevlex", "lex"), default="grevlex", help="monomial order")
 
 
-def _add_budget_flags(sub, flags: tuple[str, ...], defaults: SigmaOptions | None = SigmaOptions()):
-    """The budget flags a command reads; with ``defaults=None`` an unset
-    flag leaves the library's own (adaptive) budget in force."""
+def _add_budget_flags(sub, flags: tuple[str, ...]):
+    """The budget flags a command reads, each defaulting to ``SigmaOptions()``."""
     for flag in flags:
         field, text = _BUDGET[flag]
-        default, note = (getattr(defaults, field), "") if defaults else (None, " (default: adaptive)")
-        sub.add_argument(f"--{flag}", type=int, default=default, help=text + note)
+        sub.add_argument(f"--{flag}", type=int, default=getattr(SigmaOptions(), field), help=text)
 
 
 def _add_triple_command(subs, name: str, summary: str, budget: tuple[str, ...]):
@@ -385,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _add_monomial_command(subs, "compare-monomial", "chain value vs Newton formula for a monomial ideal", prime=True)
     sub.add_argument("--t", required=True, help="positive rational exponent")
-    _add_budget_flags(sub, every_budget, defaults=None)
+    _add_budget_flags(sub, ("nmax",))
     for sub in subs.choices.values():  # --json is the last flag of every subcommand
         sub.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     return parser

@@ -14,9 +14,8 @@ class DegreeGuardError(FsingError):
 
     The message names the module constant that sets the limit:
     ``groebner.MAX_DEGREE`` or ``groebner.MAX_BASIS`` (Groebner bases),
-    ``newton.MAX_BOX_POINTS`` (lattice walks),
-    ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers) or
-    ``nonfpure.MAX_MONOMIAL_PERIOD`` (monomial-theorem levels).  The guard reads
+    ``newton.MAX_BOX_POINTS`` (lattice walks) or
+    ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers).  The guard reads
     it when it runs, so a caller that trusts the input can raise it and retry.
     """
 

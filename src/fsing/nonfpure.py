@@ -17,21 +17,19 @@ basis monomial; the divisor twist is absorbed by the f_i powers.  The
 ascending chain for the test ideal is the same picture with exponents
 ceil(t_i p^e) and plain powers of a.
 
-Truncating the sum at e_max only shrinks the result, and the step is
-monotone in J, so the truncated limit always sits inside the true ideal;
-the probe (recomputing the final step at a few larger e) is a stability
-check that the truncation did not lose anything visible.  A chain member J
-has step(J) inside J, so the first level containing J ends the final step;
-``sigma`` skips the probe where it cannot fail.
-
-A divisor-only triple with a Cartier period e0 (``cartier_period``: every
-t_i (p^e0 - 1) integral) needs no sum: its step is level e0 alone, whose
-iterates from R are the levels n*e0 of R, as (I^{[q]} K)^{[1/q]} = I K^{[1/q]}
-(Blickle-Mustata-Smith), and they descend to Blickle's stable image, the
-exact value, with no truncation and no probe.
+A triple with a period has an exact step, with no truncation and no
+probe: a divisor-only triple with a Cartier period e0 (``cartier_period``)
+steps by level e0 alone, whose iterates from R are the levels n*e0 of R,
+as (I^{[q]} K)^{[1/q]} = I K^{[1/q]} (Blickle-Mustata-Smith), descending
+to Blickle's stable image; a divisor-free triple sums the levels up to a
+bound past which they repeat (``_LatticeLane``).  Otherwise the step sums
+levels 1..e_max, which only shrinks each step of the monotone chain, so
+the truncated limit sits inside the true ideal; the probe (the final step
+at a few larger e) checks that nothing visible was lost.  A chain member
+J has step(J) inside J, so the first level containing J ends the final step.
 
 Each level is evaluated by one of two lanes, chosen once per triple; a
-lane owns its caches, the step, the tail sums and the probe:
+lane owns its caches, its period, the step and the tail sums:
 
 * the polynomial lane holds ideals of R and takes every root one base-p
   digit of the f_i exponents at a time (``root_of_product``, called from
@@ -62,7 +60,7 @@ derived from the denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -70,7 +68,7 @@ from math import lcm
 from operator import ge, mul
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import DegreeGuardError, NonconvergenceError
+from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
 from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton_hull, newton_ideal
@@ -88,21 +86,21 @@ def _ceil_mul(t: Fraction, m: int) -> int:
     return ceil_div(t.numerator * m, t.denominator)
 
 
-def _order_mod(p: int, m: int, bound: int) -> int | None:
-    """Least e in [1, bound] with p^e = 1 mod m (1 when m = 1); None if none."""
-    power = 1
-    for e in range(1, bound + 1):
-        power = power * p % m
-        if power == 1 % m:
-            return e
-    return None
+def _period(p: int, den: int, bound: int) -> tuple[int, int | None]:
+    """(v, e0): p^v exactly divides ``den``, and e0 is the least e in [1, bound]
+    with p^e = 1 mod den/p^v, or None; k*p^e/den mod 1 has period e0 from e = v."""
+    v = 0
+    while den % p == 0:
+        den //= p
+        v += 1
+    return v, next((e for e in range(1, bound + 1) if pow(p, e, den) == 1 % den), None)
 
 
 @dataclass(frozen=True)
 class SigmaOptions:
     """Budgets for the stabilizing iterations.
 
-    e_max: largest Frobenius level in each step's sum; unused by a Cartier step.
+    e_max: largest Frobenius level in each step's sum, unless the triple has a period.
     probe: extra levels checked after stabilization, unless ``sigma`` has a proof.
     n_max: bound on iterations before giving up.
     """
@@ -214,7 +212,7 @@ class SigmaResult:
     e_max_used: largest level evaluated; the Cartier period e0 on a chain
     that steps by it, else kept low by a covering level or a skipped probe.
     probe_stable: the probe levels added nothing to the final ideal; True
-    by proof where ``sigma`` skips the probe, at R and on a Cartier period.
+    by proof where ``sigma`` skips the probe, at R and on a period.
     """
 
     ideal: Ideal
@@ -249,13 +247,13 @@ def _stabilize(
 
 
 class _Lane:
-    """One chain lane for one triple: the step of the descending chain, the
-    Cartier ``period`` of a divisor-only triple (None if it has none) and the
+    """One chain lane for one triple: the step of the descending chain, its
+    ``period`` (None if it has none), which makes the step exact, and the
     largest level evaluated, ``max_e_used``.
 
-    A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
-    ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
-    summands), ``contains``, ``covers`` (a level holds the state) and
+    A lane supplies ``unit``, ``period``, ``_summand`` (the level-e summand of
+    a state), ``ascend`` (the level-e test-ideal summand), ``join`` (the sum
+    of summands), ``contains``, ``covers`` (a level holds the state) and
     ``to_ideal``; both lanes give the same ideals.
     """
 
@@ -264,7 +262,6 @@ class _Lane:
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
-        self.period = cartier_period(triple) if triple.a is None else None
 
     def level(self, state, e: int):
         self.max_e_used = max(self.max_e_used, e)
@@ -274,27 +271,23 @@ class _Lane:
         """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
         return self.join(self.level(state, e) for e in range(e_lo, e_hi + 1))
 
+    def top(self, state) -> int:
+        """The last level of the step's sum from ``state``."""
+        return self.opts.e_max
+
     def step(self, state):
-        return self.tail(state, 1, self.opts.e_max)
+        return self.tail(state, 1, self.top(state))
 
     def chain_step(self, state):
-        """The Cartier step, level ``period`` of ``state``, where a period
-        exists; else ``step`` of a chain member, which the monotone step maps
-        inside itself: a level that already contains it proves the fixed
-        point, so the first such level ends the sum and the state is returned."""
-        if self.period is not None:
-            return self.level(state, self.period)
+        """``step`` of a chain member, which the monotone step maps inside
+        itself: a level that already contains it proves the fixed point, so
+        the first such level ends the sum and the state is returned."""
         levels = []
-        for e in range(1, self.opts.e_max + 1):
+        for e in range(1, self.top(state) + 1):
             levels.append(self.level(state, e))
             if self.covers(levels[-1], state):
                 return state
         return self.join(levels)
-
-    def probe(self, state) -> bool:
-        """True when levels (e_max, e_max + probe] add nothing to ``state``."""
-        lo = self.opts.e_max + 1
-        return all(self.contains(state, self.level(state, e)) for e in range(lo, lo + self.opts.probe))
 
 
 class _PolynomialLane(_Lane):
@@ -304,9 +297,14 @@ class _PolynomialLane(_Lane):
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = Ideal.unit(self.ring)
+        self.period = cartier_period(triple) if triple.a is None else None
         self._roots: dict = {}
         self._powers: dict = {}
         self._closure: dict[int, MonomialIdeal] = {}
+
+    def chain_step(self, J: Ideal) -> Ideal:
+        """The Cartier step, level ``period`` of J, where a period exists."""
+        return super().chain_step(J) if self.period is None else self.level(J, self.period)
 
     def root(self, J: Ideal, extra: MonomialIdeal | None, exps: list[int], e: int) -> Ideal:
         """(J * extra * prod_i f_i^{exps_i})^{[1/p^e]}, one base-p digit of each
@@ -367,11 +365,21 @@ class _LatticeLane(_Lane):
     m_i the largest i-th exponent in a.  The lane takes the same integers in
     floor form, lb_i = g_i // q, r_v = (N*c - (q-1)(|v| - 1) + <v, g>) // q and
     (N*m_i + g_i) // q, from facet products <v, g> kept per generator.
+
+    With a ``period`` e0, the order of p modulo d where den(t) = p^k*d and p
+    does not divide d (None past ``MAX_MONOMIAL_PERIOD``), the step sums
+    levels 1..E + e0 - 1 and is exact.  E is the least e >= max(k, 1) with
+    q > g_i and q > den(t)*(t*c + c + |v| + <v, g>) for every g and facet.
+    Then lb = 0 and r_v = ceil(A + B/q), with A = t*c - |v| in (1/den(t))Z
+    and B = d_e*c - A + <v, g>, d_e = N - t(q-1) in [0, 1), so |B| is below
+    q/den(t) and r_v is ceil(A), or A + [B > 0] for integral A: it moves
+    with e only through d_e, of period e0 from e = k on.
     """
 
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
+        self._k, self.period = _period(self.ring.p, triple.t.denominator, MAX_MONOMIAL_PERIOD)
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
         self._dots: dict[Exponent, list[int]] = {}
 
@@ -380,6 +388,18 @@ class _LatticeLane(_Lane):
         """The facets of P(a) and the prefix maxima of its generators, built on first use."""
         hull = newton_hull(self.triple.a)
         return hull.facets, [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
+
+    def top(self, state: tuple[Exponent, ...]) -> int:
+        """E + period - 1, the exact step's last level, where a period exists."""
+        if self.period is None:
+            return self.opts.e_max
+        num, den = self.triple.t.numerator, self.triple.t.denominator
+        rows = (num * c + den * (c + sum(v) + sum(map(mul, v, g))) for g in state for v, c in self._hull[0])
+        bound = max(chain(*state, rows))
+        e = max(self._k, 1)
+        while self.ring.p**e <= bound:
+            e += 1
+        return e + self.period - 1
 
     def _summand(self, state: tuple[Exponent, ...], e: int) -> _Regions:
         """The region keys of level e from ``state``, each with its prefix box."""
@@ -437,12 +457,11 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
     """The limit of the descending chain from R under the lane's step.
 
     The step is a function of the state, so the chain stops at its first
-    repeat, a fixed point.  On a divisor-only triple with a Cartier period
-    e0 the step is level e0 and the fixed point is the exact value, whatever
-    e_max is.  Otherwise the step sums levels 1..e_max, and the probe
-    recomputes the final step at levels up to e_max + probe and reports
-    whether they added anything.  The probe reports True unrun at R, which
-    holds every level, and on a Cartier period.
+    repeat, a fixed point, which is the exact value, whatever e_max is,
+    where the lane has a period (see the module docstring).  Otherwise the
+    step sums levels 1..e_max, and the probe recomputes the final step at
+    levels e_max + 1..e_max + probe and reports whether they added anything.
+    The probe reports True unrun at R, which holds every level, and on a period.
     """
     opts = opts or SigmaOptions()
     lane = _lane(T, opts)
@@ -454,7 +473,9 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
         f"chain did not stabilize within {opts.n_max} iterations",
     )
     proven = state == lane.unit or lane.period is not None
-    probe_ok = proven or lane.probe(state)  # before max_e_used is read: the probe levels count
+    # before max_e_used is read: the probe levels count
+    probes = range(opts.e_max + 1, opts.e_max + 1 + opts.probe)
+    probe_ok = proven or all(lane.contains(state, lane.level(state, e)) for e in probes)
     return SigmaResult(lane.to_ideal(state), n - 1, lane.max_e_used, probe_ok)
 
 
@@ -499,10 +520,8 @@ def cartier_period(T: Triple) -> int | None:
     None when p divides one of the reduced denominators (no such e exists)
     or when the least e exceeds ``MAX_CARTIER_PERIOD``.
     """
-    L = denominator_lcm(T)
-    if L % T.ring.p == 0:
-        return None
-    return _order_mod(T.ring.p, L, MAX_CARTIER_PERIOD)
+    v, e0 = _period(T.ring.p, denominator_lcm(T), MAX_CARTIER_PERIOD)
+    return e0 if v == 0 else None
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
@@ -521,23 +540,17 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     Otherwise the polynomial lane goes digit by digit in the f_i exponents,
     with the power of a folded in before the first digit.
 
-    Stabilization is declared after a window of no-growth levels, widened
-    to outlast the ceiling transients: the exponents ceil(t p^e) settle
-    into a cycle once p^e clears the p-part p^v of every denominator and e
-    has advanced one full period of p modulo the p-free part; plateaus
+    Stabilization is declared after a window of max(2, v + e0) no-growth
+    levels, (v, e0) the ``_period`` of the denominators: the exponents
+    ceil(t p^e) settle into a cycle of period e0 once e >= v, and plateaus
     inside that transient are routine (an exponent just under a threshold
-    stays flat for ~log_p(den) levels before jumping), so the window is
-    max(2, v plus that period).  The period is searched up to n_max only: a
-    longer one gives a window no run of n_max levels meets, so the window is
-    then n_max + 1 and only the unit ideal ends the sum.
+    stays flat for ~log_p(den) levels before jumping).  The period is
+    searched up to n_max only: a longer one gives a window no run of n_max
+    levels meets, so the window is then n_max + 1 and only the unit ideal
+    ends the sum.
     """
     opts = opts or SigmaOptions()
-    p = T.ring.p
-    L, v = denominator_lcm(T), 0
-    while L % p == 0:
-        L //= p
-        v += 1
-    order = _order_mod(p, L, opts.n_max)
+    v, order = _period(T.ring.p, denominator_lcm(T), opts.n_max)
     window = max(2, v + order) if order is not None else opts.n_max + 1
     lane = _lane(T, opts)
     # no summand is the zero ideal, so the first one counts as growth from None
@@ -589,11 +602,9 @@ def verify_monomial_theorem(
     """Compare the divisor-free chain value of (a, t) against the closed
     Newton membership ideal {x^v : v + 1 in t*P(a)}.
 
-    Requires gcd(p, den(t)) = 1.  The level budget defaults to a multiple
-    of the order e0 of p modulo den(t) (the levels where t(p^e - 1) is
-    integral, which drive the containment from the Newton side), and
-    doubles while the probe reports instability; an e0 past
-    ``MAX_MONOMIAL_PERIOD`` raises DegreeGuardError before any level runs.
+    Requires gcd(p, den(t)) = 1.  The chain runs on the lattice lane, whose
+    step is exact where the order of p modulo den(t) is at most
+    ``MAX_MONOMIAL_PERIOD``; a longer order takes the level sums of ``opts``.
     """
     t = Fraction(t)
     if t <= 0:
@@ -602,23 +613,12 @@ def verify_monomial_theorem(
         raise ValueError("requires a proper nonzero monomial ideal")
     if t.denominator % p == 0:
         raise ValueError("the exponent denominator must be prime to p")
-    e0 = _order_mod(p, t.denominator, MAX_MONOMIAL_PERIOD)
-    if e0 is None:
-        raise DegreeGuardError(
-            f"the order of p modulo den(t) exceeds nonfpure.MAX_MONOMIAL_PERIOD = {MAX_MONOMIAL_PERIOD} levels"
-        )
     if variables is None:
         variables = ("x", "y", "z", "w")[: a.nvars] if a.nvars <= 4 else tuple(
             f"x{i+1}" for i in range(a.nvars)
         )
     ring = PolyRing(p, variables)
-    triple = Triple(ring, a=a, t=t)
-    if opts is None:
-        opts = SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0), n_max=30)
-    result = sigma(triple, opts)
-    while not result.probe_stable and 2 * opts.e_max <= 64:
-        opts = replace(opts, e_max=2 * opts.e_max)
-        result = sigma(triple, opts)
+    result = sigma(Triple(ring, a=a, t=t), opts)
     expected = newton_ideal(a, t, "closed")
     equal = result.ideal == expected.to_ideal(ring)
     return MonomialTheoremReport(equal=equal, ideal=result.ideal, newton=expected, sigma_result=result)

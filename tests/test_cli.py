@@ -239,6 +239,15 @@ class TestCommands:
         assert lines[1] == "newton = (1)"
         assert lines[2] == "equal = yes"
 
+    def test_sigma_lattice_step_is_exact(self, capsys):
+        # den = 11 and p = 2: the level sums of e_max = 4 stopped at x^4*y^7,
+        # probe-unstable, where the closed Newton ideal has x^3*y^7; with the
+        # lattice period 10 the step sums every level that can change it
+        code, out, _ = invoke(capsys, "sigma", "--prime", "2", "--vars", "x,y", "--ideal", "[x^4*y^3, y^6]", "--t", "20/11")
+        lines = out.splitlines()
+        assert (code, lines[0]) == (0, "sigma = (x^6*y^5, x^5*y^6, x^3*y^7, x^2*y^8, x*y^9, y^10)")
+        assert lines[1].endswith("probe_stable = yes")
+
     def test_monomial_t_requires_ideal(self, capsys):
         code, _, err = invoke(
             capsys, "sigma", "--prime", "5", "--vars", "x", "--t", "1/2",
@@ -317,16 +326,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "frobenius.MAX_DIGIT_VECTORS = 50000" in err
 
-    def test_monomial_period_guard_is_two(self, capsys):
-        # ord(2 mod 1000003) = 1000002: the level budget started at 2000004
-        # levels and the run never finished
+    def test_monomial_long_period_ends(self, capsys):
+        # ord(2 mod 1000003) = 1000002 passes nonfpure.MAX_MONOMIAL_PERIOD, so
+        # the lattice lane has no period and sums levels 1..e_max; a level
+        # budget of twice that order once ran forever, and then exited 2
         start = time.perf_counter()
-        code, out, err = invoke(
-            capsys, "compare-monomial", "--prime", "2", "--vars", "x", "--ideal", "[x]", "--t", "1/1000003",
-        )
+        for t, ideal in (("1/1000003", "(1)"), ("1000004/1000003", "(x)")):
+            code, out, _ = invoke(capsys, "compare-monomial", "--prime", "2", "--vars", "x", "--ideal", "[x]", "--t", t)
+            assert (code, out) == (0, f"sigma = {ideal}\nnewton = {ideal}\nequal = yes\n"), t
+        code, out, _ = invoke(capsys, "sigma", "--prime", "2", "--vars", "x", "--ideal", "[x]", "--t", "1/1000003")
         assert time.perf_counter() - start < 10.0
-        assert (code, out) == (2, "")
-        assert "nonfpure.MAX_MONOMIAL_PERIOD = 1024 " in err
+        assert (code, out.splitlines()[0]) == (0, "sigma = (1)")
 
     def test_fregular_long_period_ends(self, capsys):
         # ord(2 mod 1000000007) is searched up to --nmax only; the search up
@@ -379,6 +389,7 @@ class TestFlagContract:
         ("fpure", "--probe", "1"), ("fpure", "--nmax", "5"), ("fpure", "--window", "1"),
         ("sigma", "--window", "1"), ("tau", "--window", "1"), ("fregular", "--window", "1"),
         ("restrict-check", "--window", "1"), ("compare-monomial", "--window", "1"),
+        ("compare-monomial", "--emax", "3"), ("compare-monomial", "--probe", "1"),
     ]
     # command -> (library function patched in fsing.cli, how the handler
     # passes its SigmaOptions, budget flags the command reads)
@@ -389,7 +400,7 @@ class TestFlagContract:
         "fpure": ("is_sharply_fpure", lambda args, kwargs: args[1], ("emax",)),
         "fregular": ("is_strongly_fregular", lambda args, kwargs: args[1], ("nmax",)),
         "restrict-check": ("check_restriction", lambda args, kwargs: args[0].opts, EVERY),
-        "compare-monomial": ("verify_monomial_theorem", lambda args, kwargs: kwargs["opts"], EVERY),
+        "compare-monomial": ("verify_monomial_theorem", lambda args, kwargs: kwargs["opts"], ("nmax",)),
     }
     FIELDS = {"emax": ("e_max", 7), "probe": ("probe", 3), "nmax": ("n_max", 9)}
 
@@ -425,17 +436,16 @@ class TestFlagContract:
         assert replace(opts, **{field: getattr(SigmaOptions(), field)}) == SigmaOptions()
 
     def test_unset_budget(self, capsys, monkeypatch):
-        # the triple commands pass the library defaults; compare-monomial
-        # passes None, which keeps its adaptive level budget
+        # every command passes the library defaults
         assert self._captured_opts(capsys, monkeypatch, "sigma") == SigmaOptions()
-        assert self._captured_opts(capsys, monkeypatch, "compare-monomial") is None
+        assert self._captured_opts(capsys, monkeypatch, "compare-monomial") == SigmaOptions()
 
     def test_inputs_echo_parsed_flags(self, capsys):
         argv = ["compare-monomial", *self.BASE["compare-monomial"], "--json"]
         inputs = json.loads(invoke(capsys, *argv)[1])["inputs"]
-        assert inputs == {"prime": 5, "vars": "x,y", "ideal": "[x^2, y^3]", "t": "5/6"}
-        inputs = json.loads(invoke(capsys, *argv, "--emax", "3")[1])["inputs"]
-        assert inputs["emax"] == 3
+        assert inputs == {"prime": 5, "vars": "x,y", "ideal": "[x^2, y^3]", "t": "5/6", "nmax": 20}
+        inputs = json.loads(invoke(capsys, *argv, "--nmax", "3")[1])["inputs"]
+        assert inputs["nmax"] == 3
 
 
 class TestMonomialCoefficients:

@@ -349,6 +349,39 @@ class TestLatticeLaneWalks:
         assert result.ideal == newton_ideal(a, t, "closed").to_ideal(R)
 
 
+class TestLatticePeriod:
+    """A divisor-free triple with a lattice period steps exactly: past the
+    lane's bound a level only repeats the region keys of the period before
+    it, so summing more levels changes no step."""
+
+    def test_more_levels_change_nothing(self):
+        rng = random.Random(1818)
+        newton_checked = p_divides = 0
+        for _ in range(200):
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+            a = MonomialIdeal(n, random_monomial_gens(rng, n, rng.randint(1, 3), 4))
+            den = rng.randint(1, 12)
+            t = Fraction(rng.randint(1, 2 * den), den)
+            T = Triple(PolyRing(p, ["x", "y", "z"][:n]), a=a, t=t)
+            lane = _LatticeLane(T, SigmaOptions())
+            assert lane.period is not None
+            state = lane.unit
+            for _ in range(SigmaOptions().n_max):
+                new = lane.tail(state, 1, lane.top(state) + 7)
+                assert new == lane.step(state), (p, a, t, state)
+                if new == state:
+                    break
+                state = new
+            result = sigma(T)
+            assert (result.ideal, result.probe_stable) == (lane.to_ideal(state), True), (p, a, t)
+            if t.denominator % p:
+                assert result.ideal == newton_ideal(a, t, "closed").to_ideal(T.ring), (p, a, t)
+                newton_checked += 1
+            else:
+                p_divides += 1
+        assert newton_checked >= 100 and p_divides >= 20
+
+
 class TestDigitProducts:
     """Each digit product prod f_i^{d_i} is formed once per triple: counted
     by ``Polynomial.__pow__`` calls, which the chains re-made at every level
@@ -454,16 +487,24 @@ class TestChainStep:
             t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         return Triple(R, D, a, t), SigmaOptions(e_max=rng.randint(1, 4), probe=rng.randint(0, 3))
 
+    # levels past any lattice step of the draws below: keys there repeat
+    LATTICE_DEPTH = 16
+
     @staticmethod
-    def reference(T: Triple, opts: SigmaOptions) -> tuple[str, int, bool, int]:
-        """The chain from full level sums, with the probe always run."""
+    def probe(lane, state, opts: SigmaOptions) -> bool:
+        """Whether levels e_max + 1..e_max + probe add nothing to ``state``."""
+        levels = range(opts.e_max + 1, opts.e_max + 1 + opts.probe)
+        return all(lane.contains(state, lane.level(state, e)) for e in levels)
+
+    @classmethod
+    def reference(cls, T: Triple, opts: SigmaOptions) -> tuple[str, int, bool, int]:
+        """The chain from full sums of levels 1..e_max, with the probe always run."""
         lane = _lane(T, opts)
         state = lane.unit
         for n in range(opts.n_max):
-            new = lane.step(state)
+            new = lane.tail(state, 1, opts.e_max)
             if new == state:
-                stable = lane.probe(state)
-                return str(lane.to_ideal(state)), n, stable, lane.max_e_used
+                return str(lane.to_ideal(state)), n, cls.probe(lane, state, opts), lane.max_e_used
             state = new
         raise NonconvergenceError("reference chain did not stabilize")
 
@@ -471,13 +512,19 @@ class TestChainStep:
         # ideal, iterations and probe_stable are those of the full-sum chain
         # with its probe; only the levels evaluated may fall.  A Cartier
         # period e0 steps by level e0 alone, the exact value: it matches the
-        # full sums at e_max >= e0 in no more iterations, proven, at level e0
+        # full sums at e_max >= e0 in no more iterations, proven, at level e0.
+        # A lattice period sums every level that can change the step: it
+        # matches the full sums at the fixed depth LATTICE_DEPTH, proven
         rng = random.Random(99)
         decided = fewer = 0
         for _ in range(120):
             T, opts = self.draw(rng)
-            e0 = _lane(T, opts).period
-            ref_opts = opts if e0 is None else replace(opts, e_max=max(opts.e_max, e0))
+            lane = _lane(T, opts)
+            e0 = lane.period
+            if isinstance(lane, _LatticeLane):
+                ref_opts = replace(opts, e_max=self.LATTICE_DEPTH)
+            else:
+                ref_opts = opts if e0 is None else replace(opts, e_max=max(opts.e_max, e0))
             try:
                 ideal, n, stable, e_max = self.reference(T, ref_opts)
             except (NonconvergenceError, DegreeGuardError):
@@ -486,6 +533,9 @@ class TestChainStep:
             if e0 is None:
                 assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, stable), (T, opts)
                 assert result.e_max_used <= e_max, (T, opts)
+            elif isinstance(lane, _LatticeLane):
+                assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, True), (T, opts)
+                assert stable and result.e_max_used <= self.LATTICE_DEPTH, (T, opts)
             else:
                 assert (str(result.ideal), result.probe_stable, result.e_max_used) == (ideal, True, e0), (T, opts)
                 assert result.iterations <= n and stable, (T, opts)
@@ -509,7 +559,7 @@ class TestChainStep:
             opts = SigmaOptions(e_max=e_max, probe=3)
             result = sigma(T, opts)
             assert result.probe_stable and result.e_max_used == e0
-            assert _lane(T, opts).probe(result.ideal), T
+            assert self.probe(_lane(T, opts), result.ideal, opts), T
             checked += 1
         assert checked >= 100
 
