@@ -93,9 +93,18 @@ class MonomialIdeal:
         )
 
     def power(self, n: int) -> "MonomialIdeal":
-        """The plain ideal power a^n (not a closure)."""
+        """The plain ideal power a^n (not a closure).
+
+        With k >= 2 generators a^i has at least i + 1 (a bounded edge of
+        i*P(a)), so the last squaring, of a^h with h > n/4, forms more than
+        (n//4 + 1)^2 pairs; past MAX_BOX_POINTS the power is refused up front.
+        """
         if n < 0:
             raise ValueError("negative ideal power")
+        if len(self.generators) > 1 and (n // 4 + 1) ** 2 > MAX_BOX_POINTS:
+            raise DegreeGuardError(
+                f"a^{n} forms more than newton.MAX_BOX_POINTS = {MAX_BOX_POINTS} generator pairs; refusing the power"
+            )
         return square_multiply(self, n, MonomialIdeal.unit(self.nvars))
 
     def to_ideal(self, ring: PolyRing) -> "object":
@@ -342,6 +351,10 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
     jump exactly when the closed and interior ideals at t differ, that is,
     when some minimal generator of the closed ideal lies on a scaled facet;
     the closed walk lists every minimal generator, so one walk decides it.
+
+    A facet (w, c) has the critical values k/c, k = <w, v + 1> an integer
+    sum whose partial sums only grow (w >= 0, v + 1 >= 1); one past t_max*c
+    is dropped at once, so a Fraction is built only for a k/c <= t_max.
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
@@ -360,10 +373,11 @@ def jumping_candidates(a: MonomialIdeal, t_max: Fraction | int) -> tuple[Fractio
             for wi in w
         ]
         _box_guard(bounds)
+        cap = t_max.numerator * c // t_max.denominator
         sums = {0}
-        for wi, b in zip(w, bounds):
-            sums = {s + wi * k for s in sums for k in range(1, b + 2)}
-        candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
+        for wi in filter(None, w):
+            sums = {s + wi * k for s in sums for k in range(1, (cap - s) // wi + 1)}
+        candidates.update(Fraction(k, c) for k in sums)
     return tuple(t for t in sorted(candidates) if any(
         t.denominator * sum(wi * (x + 1) for wi, x in zip(w, v)) == t.numerator * c
         for v in _newton_walk(P, t, "closed") for w, c in P.facets))

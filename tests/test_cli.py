@@ -303,6 +303,14 @@ class TestExitCodes:
         assert code == 2
         assert "newton.MAX_BOX_POINTS = 5000000 " in err
 
+    def test_power_guard_is_two(self, capsys):
+        # tau at t = 10^9 needs a^m with m near t: refused before expanding
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "tau", "--prime", "2", "--vars", "x,y", "--ideal", "[x, y]", "--t", "1000000000")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert "newton.MAX_BOX_POINTS = 5000000 generator pairs; refusing the power" in err
+
     def test_help_is_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0

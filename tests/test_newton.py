@@ -19,7 +19,7 @@ from fsing import (
     newton_ideal,
 )
 from fsing.errors import DegreeGuardError
-from fsing.ring import exponent_antichain
+from fsing.ring import ceil_div, exponent_antichain
 
 from oracles import (
     closed_member_oracle,
@@ -50,6 +50,17 @@ class TestMonomialIdeal:
         cube = a.power(3)
         assert set(cube.generators) == {(6, 0), (4, 3), (2, 6), (0, 9)}
         assert a.power(0).is_unit()
+
+    def test_power_guard_names_knob(self, monkeypatch):
+        # (n//4 + 1)^2 pairs past MAX_BOX_POINTS = 9 means n >= 12; a
+        # principal ideal's power is one product per step and is never refused
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 9)
+        a = MonomialIdeal(2, [(1, 0), (0, 1)])
+        assert len(a.power(11).generators) == 12
+        refused = r"a\^12 forms more than newton\.MAX_BOX_POINTS = 9 .*refusing the power"
+        with pytest.raises(DegreeGuardError, match=refused):
+            a.power(12)
+        assert MonomialIdeal(2, [(1, 2)]).power(10**9).generators == ((10**9, 2 * 10**9),)
 
     def test_unit_zero(self):
         assert MonomialIdeal.unit(3).is_unit()
@@ -327,6 +338,43 @@ class TestThresholds:
         monkeypatch.setattr(fsing.newton, "_lattice_walk", counting)
         jumping_candidates(MonomialIdeal(len(gens[0]), gens), t_max)
         assert len(calls) == walks
+
+    def test_pruned_candidates_match_all_sums(self, monkeypatch):
+        # the candidates each get one closed walk, in ascending order; they
+        # must be those of the unpruned all-sums filter, guard errors included
+        def all_sums(a, t_max):
+            candidates = set()
+            for w, c in newton_hull(a).facets:
+                bounds = [ceil_div(t_max.numerator * c, t_max.denominator * wi) if wi else 0 for wi in w]
+                fsing.newton._box_guard(bounds)
+                sums = {0}
+                for wi, b in zip(w, bounds):
+                    sums = {s + wi * k for s in sums for k in range(1, b + 2)}
+                candidates.update(t for t in (Fraction(k, c) for k in sums) if 0 < t <= t_max)
+            return sorted(candidates)
+
+        walked = []
+        monkeypatch.setattr(fsing.newton, "_newton_walk", lambda P, t, mode: walked.append(t) or [])
+        rng = random.Random(3030)
+        guarded = 0
+        for draw in range(320):
+            n = rng.randint(1, 3)
+            a = MonomialIdeal(n, random_monomial_gens(rng, n, rng.randint(1, 4), 6))
+            t_max = Fraction(rng.randint(1, 30), rng.choice((1, 1, 2, 3, 7)))
+            # a lowered cap makes the witness-box guard trip on some draws
+            monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 5_000_000 if draw % 2 else 2_000)
+            walked.clear()
+            try:
+                want = all_sums(a, t_max)
+            except DegreeGuardError as exc:
+                with pytest.raises(DegreeGuardError) as got:
+                    jumping_candidates(a, t_max)
+                assert str(got.value) == str(exc)
+                guarded += 1
+                continue
+            assert jumping_candidates(a, t_max) == ()
+            assert walked == want, (a, t_max)
+        assert 20 <= guarded <= 200, guarded
 
     def test_delta_limit(self, rng):
         # closed(t) equals interior(t - d) once d undercuts the candidate gap

@@ -6,6 +6,8 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 
@@ -25,6 +27,7 @@ from fsing import (
     frobenius_root,
     is_sharply_fpure,
     is_strongly_fregular,
+    newton_hull,
     newton_ideal,
     sigma,
     sigma_prime_n,
@@ -211,6 +214,15 @@ class TestThresholdPairs:
 
 
 class TestLanesAgree:
+    @staticmethod
+    def lanes(T: Triple, J: Ideal, e_max: int):
+        """The lattice lane with J's antichain, and the polynomial lane.  The
+        tests compare their sums over the same levels 1..e_max, which agree
+        whether or not those levels hold the whole step."""
+        opts = SigmaOptions(e_max=e_max)
+        state = exponent_antichain(g.leading_exponent() for g in J.generators)
+        return _LatticeLane(T, opts), state, _PolynomialLane(T, opts)
+
     def test_step_cross_check(self, rng):
         for p in (2, 3, 5):
             R = PolyRing(p, ["x", "y"])
@@ -218,11 +230,9 @@ class TestLanesAgree:
                 gens = random_monomial_gens(rng, 2, 3, 4)
                 t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
                 T = Triple(R, a=MonomialIdeal(2, gens), t=t)
-                opts = SigmaOptions(e_max=3)
                 J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
-                fast = sigma_step(J, T, opts)
-                forced = _PolynomialLane(T, opts)
-                assert forced.step(J) == fast
+                lattice, state, forced = self.lanes(T, J, 3)
+                assert forced.tail(J, 1, 3) == lattice.to_ideal(lattice.tail(state, 1, 3))
         # three variables walk a two-dimensional prefix in both lanes
         for p in (2, 3):
             R = PolyRing(p, ["x", "y", "z"])
@@ -230,36 +240,34 @@ class TestLanesAgree:
                 gens = random_monomial_gens(rng, 3, 3, 3)
                 t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
                 T = Triple(R, a=MonomialIdeal(3, gens), t=t)
-                opts = SigmaOptions(e_max=2)
                 J = maximal_ideal(R) if rng.random() < 0.5 else Ideal.unit(R)
-                fast = sigma_step(J, T, opts)
-                forced = _PolynomialLane(T, opts)
-                assert forced.step(J) == fast, (p, gens, t)
+                lattice, state, forced = self.lanes(T, J, 2)
+                assert forced.tail(J, 1, 2) == lattice.to_ideal(lattice.tail(state, 1, 2)), (p, gens, t)
 
     def test_step_cross_check_repeated_regions(self, rng):
         # three variables at p = 2 with e_max >= 4: region keys recur across
         # levels, so (generator, level) pairs share walks
         R = PolyRing(2, ["x", "y", "z"])
+        e_max = 4
         repeats = 0
         for _ in range(8):
             gens = random_monomial_gens(rng, 3, rng.randint(1, 3), 4)
             t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
             T = Triple(R, a=MonomialIdeal(3, gens), t=t)
-            opts = SigmaOptions(e_max=4)
             # generators past p^e give regions with a lower corner lb > 0
             J = MonomialIdeal(3, random_monomial_gens(rng, 3, 2, 6)).to_ideal(R)
-            lattice = _LatticeLane(T, opts)
-            state = exponent_antichain(g.leading_exponent() for g in J.generators)
-            keys = [set(lattice.level(state, e)) for e in range(1, opts.e_max + 1)]
+            lattice, state, forced = self.lanes(T, J, e_max)
+            keys = [set(lattice.level(state, e)) for e in range(1, e_max + 1)]
             repeats += sum(len(k & later) for i, k in enumerate(keys) for later in keys[i + 1 :])
-            fast = lattice.to_ideal(lattice.step(state))
-            forced = _PolynomialLane(T, opts)
-            assert forced.step(J) == fast, (gens, t, opts.e_max)
+            assert forced.tail(J, 1, e_max) == lattice.to_ideal(lattice.tail(state, 1, e_max)), (gens, t)
             # and the whole chain from R, which walks the regions of every state
-            chain = Ideal.unit(R)
-            while (new := forced.step(chain)) != chain:
-                chain = new
-            assert sigma(T, opts).ideal == chain, (gens, t, opts.e_max)
+            limits = []
+            for lane in (lattice, forced):
+                x = lane.unit
+                while (new := lane.tail(x, 1, e_max)) != x:
+                    x = new
+                limits.append(lane.to_ideal(x))
+            assert limits[0] == limits[1], (gens, t)
         assert repeats
 
     def test_lattice_walk_guard_names_knob(self, monkeypatch):
@@ -380,6 +388,32 @@ class TestLatticePeriod:
             else:
                 p_divides += 1
         assert newton_checked >= 100 and p_divides >= 20
+
+    def test_top_reads_kept_products(self):
+        # E against every product <v, g> computed afresh, on states that
+        # mix generators a level has kept <v, g> for with unseen ones
+        rng = random.Random(1919)
+        fresh = 0
+        for _ in range(200):
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+            a = MonomialIdeal(n, random_monomial_gens(rng, n, rng.randint(1, 4), 6))
+            den = rng.randint(1, 12)
+            t = Fraction(rng.randint(1, 3 * den), den)
+            lane = _LatticeLane(Triple(PolyRing(p, ["x", "y", "z"][:n]), a=a, t=t), SigmaOptions())
+            seen = exponent_antichain(random_monomial_gens(rng, n, rng.randint(1, 3), 8))
+            lane.level(seen, rng.randint(1, 3))
+            state = exponent_antichain([*seen, *random_monomial_gens(rng, n, rng.randint(1, 3), 8)])
+            fresh += any(g not in lane._dots for g in state)
+            facets = newton_hull(a).facets
+            tn, td = t.numerator, t.denominator
+            rows = (tn * c + td * (c + sum(v) + sum(map(mul, v, g))) for g in state for v, c in facets)
+            bound = max(chain(*state, rows))
+            e = max(lane._k, 1)
+            while p**e <= bound:
+                e += 1
+            assert lane.top(state) == e + lane.period - 1, (p, a, t, state)
+            assert all(lane._dots[g] == [sum(map(mul, v, g)) for v, _ in facets] for g in state)
+        assert fresh >= 100
 
 
 class TestDigitProducts:
@@ -949,3 +983,29 @@ class TestMonomialTheorem:
         a = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
         report = verify_monomial_theorem(a, Fraction(3, 2), 3)
         assert report.equal
+
+    def test_equal_matches_groebner_comparison(self):
+        # ``equal`` compares exponent antichains; the reduced Groebner bases
+        # of both ideals must say the same.  A denominator 1000003, whose
+        # order of 2 passes MAX_MONOMIAL_PERIOD, truncates the level sums at
+        # a small e_max, so some draws are unequal.
+        rng = random.Random(2020)
+        verdicts = {True: 0, False: 0}
+        for _ in range(240):
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+            a = MonomialIdeal(n, random_monomial_gens(rng, n, rng.randint(1, 4), 6))
+            den = rng.choice((1000003, *(d for d in range(1, 10) if d % p)))
+            t = Fraction(rng.randint(1, 2 * den), den)
+            opts = SigmaOptions(e_max=rng.randint(1, 3), probe=0)
+            report = verify_monomial_theorem(a, t, p, opts=opts)
+            assert report.equal == (report.ideal == report.newton.to_ideal(report.ideal.ring)), (p, a, t, opts)
+            verdicts[report.equal] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 5, verdicts
+
+    def test_truncated_pair_is_unequal(self):
+        # the order of 2 modulo 1000003 passes MAX_MONOMIAL_PERIOD, so one
+        # level is summed: sigma = (x^5) against the Newton ideal (x^3)
+        a = MonomialIdeal(1, [(3,)])
+        report = verify_monomial_theorem(a, Fraction(1134505, 1000003), 2, opts=SigmaOptions(e_max=1, probe=0))
+        assert not report.equal
+        assert (str(report.ideal), report.newton.generators) == ("(x^5)", ((3,),))
