@@ -16,7 +16,7 @@ from .frobenius import (
     pe_decompose,
     root_of_product,
 )
-from .groebner import GroebnerBasis, Ideal, normal_form
+from .groebner import Ideal, normal_form
 from .newton import (
     MonomialIdeal,
     NewtonPolyhedron,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeGuardError",
     "FsingError",
-    "GroebnerBasis",
     "Ideal",
     "MonomialIdeal",
     "MonomialOrder",

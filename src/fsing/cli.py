@@ -277,7 +277,7 @@ def parse_monomial_ideal(text: str, names: tuple[str, ...], p: int = _CHAR_FREE_
 
 
 def ideal_generator_strings(I: Ideal) -> list[str]:
-    return [str(g) for g in I.groebner_basis().elements]
+    return [str(g) for g in I.groebner_basis()]
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -14,7 +14,8 @@ class DegreeGuardError(FsingError):
 
     The message names the module constant that sets the limit:
     ``groebner.MAX_DEGREE`` or ``groebner.MAX_BASIS`` (Groebner bases),
-    ``newton.MAX_BOX_POINTS`` (lattice walks, plain monomial powers) or
+    ``newton.MAX_BOX_POINTS`` (lattice walks, and plain monomial powers in
+    any number of variables, refused before they expand) or
     ``frobenius.MAX_DIGIT_VECTORS`` (roots of plain powers).  The guard reads
     it when it runs, so a caller that trusts the input can raise it and retry.
     """

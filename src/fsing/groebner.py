@@ -37,21 +37,22 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-def normal_form(f: Polynomial, basis: "GroebnerBasis") -> Polynomial:
-    """Remainder of f under division by a monic basis; zero iff f lies in the ideal.
+def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of f under division by monic polynomials of its ring.
 
-    Every term of the remainder is divisible by no basis leading term, so the
-    result is the canonical representative of f modulo the ideal when the
-    basis is a Groebner basis.
+    Every term of the remainder is divisible by no reducer's leading term, so
+    the result is the canonical representative of f modulo the ideal, zero iff
+    f lies in it, when the reducers are a Groebner basis.  No reducers leave f
+    as it is.
     """
     ring = f.ring
-    if basis.ring != ring:
+    if reducers and reducers[0].ring != ring:
         raise RingMismatchError("normal_form across different rings")
-    if not basis.elements or not f.terms:
+    if not reducers or not f.terms:
         return f
     p = ring.p
     heap_key = ring.order.descending_key
-    reducers = [(lead, [t for t in g.terms.items() if t[0] != lead]) for g in basis for lead in (g.leading_exponent(),)]
+    divisors = [(lead, [t for t in g.terms.items() if t[0] != lead]) for g in reducers for lead in (g.leading_exponent(),)]
     work = dict(f.terms)
     pending = [(heap_key(e), e) for e in work]
     heapify(pending)
@@ -61,7 +62,7 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis") -> Polynomial:
         c = work.pop(exp, 0)
         if not c:
             continue  # cancelled after it was queued
-        for lead, tail in reducers:
+        for lead, tail in divisors:
             if monomial_divides(lead, exp):
                 shift = _exp_sub(exp, lead)
                 for ge, gc in tail:
@@ -78,37 +79,6 @@ def normal_form(f: Polynomial, basis: "GroebnerBasis") -> Polynomial:
         else:
             remainder[exp] = c
     return Polynomial(ring, remainder, next(iter(remainder), None))
-
-
-class GroebnerBasis:
-    """Monic polynomials of one ring, the divisors of ``normal_form``; immutable.
-
-    :meth:`Ideal.groebner_basis` returns the reduced Groebner basis, sorted
-    descending by leading monomial.
-    """
-
-    __slots__ = ("ring", "elements")
-
-    def __init__(self, ring: PolyRing, elements: tuple[Polynomial, ...]):
-        self.ring = ring
-        self.elements = elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return self.ring == other.ring and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.elements))
-
-    def __repr__(self) -> str:
-        return f"GroebnerBasis[{', '.join(str(g) for g in self.elements)}]"
 
 
 def _spolynomial(f: Polynomial, g: Polynomial, lcm: Exponent) -> Polynomial:
@@ -162,13 +132,12 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
     # as given: entering their remainders raised the degrees of lex bases
     # and made some runs an order of magnitude slower.
     for g in seeds:
-        if not active or not normal_form(g, GroebnerBasis(ring, tuple(basis[k] for k in active))).is_zero():
+        if not active or not normal_form(g, [basis[k] for k in active]).is_zero():
             basis.append(g)
             active = _gebauer_moller(leads, active, pairs, keyfn, g.leading_exponent())
     while pairs:
         _, i, j, lcm = heappop(pairs)
-        reducers = GroebnerBasis(ring, tuple(basis[k] for k in active))
-        remainder = normal_form(_spolynomial(basis[i], basis[j], lcm), reducers)
+        remainder = normal_form(_spolynomial(basis[i], basis[j], lcm), [basis[k] for k in active])
         if remainder.is_zero():
             continue
         if remainder.total_degree() > MAX_DEGREE:
@@ -192,7 +161,7 @@ def _reduce_basis(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, 
     # monomial has no tail, so a monomial basis is already reduced.
     for idx, g in enumerate(minimal):
         if not g.is_monomial():
-            minimal[idx] = normal_form(g, GroebnerBasis(ring, tuple(minimal[:idx] + minimal[idx + 1 :])))
+            minimal[idx] = normal_form(g, minimal[:idx] + minimal[idx + 1 :])
     minimal.sort(key=lambda g: ring.order.key(g.leading_exponent()), reverse=True)
     return tuple(minimal)
 
@@ -215,7 +184,7 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._basis: GroebnerBasis | None = None
+        self._basis: tuple[Polynomial, ...] | None = None
 
     @classmethod
     def unit(cls, ring: PolyRing) -> "Ideal":
@@ -225,10 +194,10 @@ class Ideal:
     def zero(cls, ring: PolyRing) -> "Ideal":
         return cls(ring, [])
 
-    def groebner_basis(self) -> GroebnerBasis:
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
+        """The reduced monic Groebner basis, sorted descending by leading monomial."""
         if self._basis is None:
-            raw = _buchberger(self.ring, self.generators)
-            self._basis = GroebnerBasis(self.ring, _reduce_basis(self.ring, raw))
+            self._basis = _reduce_basis(self.ring, _buchberger(self.ring, self.generators))
         return self._basis
 
     # -- predicates ----------------------------------------------------------
@@ -237,7 +206,7 @@ class Ideal:
         return not self.generators
 
     def is_unit(self) -> bool:
-        basis = self.groebner_basis().elements
+        basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
     def contains(self, f: Polynomial) -> bool:
@@ -278,7 +247,7 @@ class Ideal:
             return NotImplemented
         if self.ring != other.ring:
             return False
-        return self.groebner_basis().elements == other.groebner_basis().elements
+        return self.groebner_basis() == other.groebner_basis()
 
     __hash__ = None  # mutable cache; use canonical_key for dict keys
 
@@ -286,7 +255,7 @@ class Ideal:
         return tuple(g.canonical_key() for g in self.groebner_basis())
 
     def __str__(self) -> str:
-        basis = self.groebner_basis().elements
+        basis = self.groebner_basis()
         if not basis:
             return "(0)"
         return f"({', '.join(str(g) for g in basis)})"

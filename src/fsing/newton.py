@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
@@ -95,13 +95,21 @@ class MonomialIdeal:
     def power(self, n: int) -> "MonomialIdeal":
         """The plain ideal power a^n (not a closure).
 
-        With k >= 2 generators a^i has at least i + 1 (a bounded edge of
-        i*P(a)), so the last squaring, of a^h with h > n/4, forms more than
-        (n//4 + 1)^2 pairs; past MAX_BOX_POINTS the power is refused up front.
+        The last squaring, of a^h with h > n/4, forms |a^h|^2 pairs; when a
+        lower bound for them at h = n//4 passes MAX_BOX_POINTS the power is
+        refused up front.  With k >= 2 generators a^i has at least i + 1 (a
+        bounded edge of i*P(a)).  A facet (w, c) with every w_i > 0 is bounded
+        and holds nvars affinely independent generators, so a^i then has at
+        least C(i + nvars - 1, nvars - 1), all minimal on that facet of i*P(a);
+        the hull is built only when this count refuses and the edge's does not.
         """
         if n < 0:
             raise ValueError("negative ideal power")
-        if len(self.generators) > 1 and (n // 4 + 1) ** 2 > MAX_BOX_POINTS:
+        h, d = n // 4, self.nvars
+        if len(self.generators) > 1 and (
+            (h + 1) ** 2 > MAX_BOX_POINTS
+            or (comb(h + d - 1, d - 1) ** 2 > MAX_BOX_POINTS and any(min(w) > 0 for w, _ in newton_hull(self).facets))
+        ):
             raise DegreeGuardError(
                 f"a^{n} forms more than newton.MAX_BOX_POINTS = {MAX_BOX_POINTS} generator pairs; refusing the power"
             )

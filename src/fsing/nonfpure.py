@@ -314,7 +314,7 @@ class _PolynomialLane(_Lane):
         before the first digit.  Digit prefixes are memoised per (J, extra):
         at t_i = 1 every digit is p - 1 and level e is one root above e - 1.
         """
-        gens = J.groebner_basis().elements
+        gens = J.groebner_basis()
         if extra is not None:
             gens = [h * Polynomial(self.ring, {m: 1}) for h in gens for m in extra.generators]
         memo = self._roots.setdefault((J.canonical_key(), extra), {})
@@ -344,7 +344,7 @@ class _PolynomialLane(_Lane):
 
     @staticmethod
     def covers(term: Ideal, J: Ideal) -> bool:
-        return all(map(term.contains, J.groebner_basis().elements))
+        return all(map(term.contains, J.groebner_basis()))
 
     @staticmethod
     def to_ideal(J: Ideal) -> Ideal:
@@ -549,7 +549,11 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     levels, (v, e0) the ``_period`` of the denominators: the exponents
     ceil(t p^e) settle into a cycle of period e0 once e >= v, and plateaus
     inside that transient are routine (an exponent just under a threshold
-    stays flat for ~log_p(den) levels before jumping).  The period is
+    stays flat for ~log_p(den) levels before jumping).  For a divisor-only
+    triple with p not dividing den the window is a proof: ceil(t p^(e+e0))
+    = t p^e (p^e0 - 1) + ceil(t p^e), so by (I^[q] K)^[1/q] = I K^[1/q]
+    summand e + e0 is the level-e0 summand of summand e, and e0 levels
+    without growth repeat forever.  Elsewhere it is evidence.  The period is
     searched up to n_max only: a longer one gives a window no run of n_max
     levels meets, so the window is then n_max + 1 and only the unit ideal
     ends the sum.

@@ -29,7 +29,7 @@ def ideal_key(I: Ideal) -> tuple:
 def monomial_ideal_of(I: Ideal) -> MonomialIdeal:
     """Reads a monomial Ideal back into exponent form; asserts it is one."""
     exps = []
-    for g in I.groebner_basis().elements:
+    for g in I.groebner_basis():
         assert len(g.terms) == 1, f"not monomial: {g}"
         exps.append(next(iter(g.terms)))
     return MonomialIdeal(I.ring.nvars, exps)

@@ -311,6 +311,15 @@ class TestExitCodes:
         assert code == 2
         assert "newton.MAX_BOX_POINTS = 5000000 generator pairs; refusing the power" in err
 
+    def test_power_guard_three_variables_is_two(self, capsys):
+        # a^1000 after one root digit has about 500^2 / 2 generators in three
+        # variables, though the two-variable edge count lets it pass
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "tau", "--prime", "2", "--vars", "x,y,z", "--ideal", "[x, y, z]", "--t", "1000")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert "a^1000 forms more than newton.MAX_BOX_POINTS = 5000000 generator pairs; refusing the power" in err
+
     def test_help_is_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0

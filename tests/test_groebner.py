@@ -8,7 +8,7 @@ import pytest
 
 import fsing.groebner
 from fsing import Ideal, MonomialOrder, PolyRing, normal_form
-from fsing.errors import DegreeGuardError
+from fsing.errors import DegreeGuardError, RingMismatchError
 
 from conftest import poly_from_dict
 from oracles import random_poly_terms
@@ -54,7 +54,7 @@ class TestKnownBases:
         R = PolyRing(7, ["x", "y"], MonomialOrder("lex"))
         x, y = R.variable(0), R.variable(1)
         I = Ideal(R, [x - y**2, y**3 - 1])
-        basis = I.groebner_basis().elements
+        basis = I.groebner_basis()
         pure_y = [g for g in basis if g.leading_exponent()[0] == 0]
         assert [str(g) for g in pure_y] == ["y^3 - 1"]
         assert I.contains(x * y - 1)  # x*y = y^3 = 1 mod I
@@ -64,7 +64,7 @@ class TestKnownBases:
         x, y = R.variable(0), R.variable(1)
         f = 3 * (x**2 + y) * (x + y**2)
         I = Ideal(R, [f])
-        basis = I.groebner_basis().elements
+        basis = I.groebner_basis()
         assert len(basis) == 1
         assert basis[0] == f.monic()
 
@@ -107,6 +107,27 @@ class TestNormalForm:
             assert normal_form(rf, basis) == rf
             assert normal_form(f + g, basis) == normal_form(rf + rg, basis)
 
+    def test_ring_check_reads_the_first_reducer(self):
+        R, S = ring_xy(), ring_xy(p=7)
+        with pytest.raises(RingMismatchError):
+            normal_form(R.variable(0) + 1, [S.variable(0)])
+        with pytest.raises(RingMismatchError):
+            normal_form(R.zero(), (S.variable(1),))
+
+    def test_no_reducers_leave_f(self):
+        R = ring_xy()
+        f = R.variable(0) ** 2 + 3 * R.variable(1)
+        assert normal_form(f, ()) is f
+
+    def test_basis_is_a_cached_tuple(self):
+        R = ring_xy()
+        x, y = R.variable(0), R.variable(1)
+        I = Ideal(R, [x**2 - y, x * y - 1])
+        basis = I.groebner_basis()
+        assert type(basis) is tuple
+        assert I.groebner_basis() is basis
+        assert normal_form(x**3, list(basis)) == normal_form(x**3, basis)
+
 
 class TestMembership:
     def test_random_combinations_are_members(self, rng):
@@ -132,7 +153,7 @@ class TestCanonicality:
         R = ring_xy(7)
         gens = [poly_from_dict(R, random_poly_terms(rng, 2, 7, max_terms=3, max_exp=3)) for _ in range(3)]
         I = Ideal(R, gens)
-        base = I.groebner_basis().elements
+        base = I.groebner_basis()
         for _ in range(5):
             shuffled = gens[:]
             rng.shuffle(shuffled)
@@ -140,13 +161,13 @@ class TestCanonicality:
             # throw in a redundant combination
             scaled.append(gens[0] * R.variable(0) + gens[1])
             J = Ideal(R, scaled)
-            assert J.groebner_basis().elements == base
+            assert J.groebner_basis() == base
             assert I == J
 
     def test_basis_is_reduced_and_monic(self, rng):
         R = ring_xy(5)
         gens = [poly_from_dict(R, random_poly_terms(rng, 2, 5, max_terms=3, max_exp=3)) for _ in range(2)]
-        basis = Ideal(R, gens).groebner_basis().elements
+        basis = Ideal(R, gens).groebner_basis()
         leads = [g.leading_exponent() for g in basis]
         assert len(set(leads)) == len(leads)
         for i, g in enumerate(basis):
@@ -159,7 +180,7 @@ class TestCanonicality:
     def test_sorted_descending(self):
         R = ring_xy()
         x, y = R.variable(0), R.variable(1)
-        basis = Ideal(R, [y**3, x]).groebner_basis().elements
+        basis = Ideal(R, [y**3, x]).groebner_basis()
         keys = [R.order.key(g.leading_exponent()) for g in basis]
         assert keys == sorted(keys, reverse=True)
 

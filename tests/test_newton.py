@@ -62,6 +62,26 @@ class TestMonomialIdeal:
             a.power(12)
         assert MonomialIdeal(2, [(1, 2)]).power(10**9).generators == ((10**9, 2 * 10**9),)
 
+    def test_power_guard_three_variables(self, monkeypatch):
+        # (x, y, z) has the bounded facet x + y + z >= 1, so a^i has
+        # C(i + 2, 2) generators: C(n//4 + 2, 2)^2 passes 100 from n = 16,
+        # where the edge count (n//4 + 1)^2 refuses only from n = 40
+        monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 100)
+        a = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert len(a.power(15).generators) == 136
+        assert a._hull is None  # a power the edge count passes builds no hull
+        refused = r"a\^16 forms more than newton\.MAX_BOX_POINTS = 100 .*refusing the power"
+        with pytest.raises(DegreeGuardError, match=refused):
+            a.power(16)
+        # the last squaring of a^16 forms more pairs than the cap
+        assert len(a.power(8).generators) ** 2 > 100
+        # (x, y) in three variables has no bounded facet: a^i has i + 1
+        # generators and only the edge count applies
+        b = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
+        assert len(b.power(39).generators) == 40
+        with pytest.raises(DegreeGuardError, match=r"a\^40 forms more than"):
+            b.power(40)
+
     def test_unit_zero(self):
         assert MonomialIdeal.unit(3).is_unit()
         assert MonomialIdeal(2).is_zero()

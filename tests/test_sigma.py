@@ -850,6 +850,35 @@ class TestTau:
             ascended.clear()
             assert tau_b(T) == lane.to_ideal(ascended[-1]), T
 
+    def test_window_is_a_proof_without_p_in_den(self):
+        # divisor-only, p not dividing den: ceil(t p^(e+e0)) is
+        # t p^e (p^e0 - 1) + ceil(t p^e), so by (I^[q] K)^[1/q] = I K^[1/q]
+        # summand e + e0 is the level-e0 summand of summand e, and e0 levels
+        # without growth repeat forever.  Denominators divide p^e0 - 1 for a
+        # drawn e0 <= 3; the polynomials have no constant term.
+        rng = random.Random(6307)
+        grew = 0
+        for _ in range(100):
+            p = rng.choice([2, 3, 5, 7])
+            R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
+            q0 = p ** rng.randint(1, 3)
+            dens = [d for d in range(1, q0) if (q0 - 1) % d == 0]
+            entries = []
+            count = rng.randint(1, 2)
+            while len(entries) < count:
+                f = R.from_terms({e: c for e, c in random_poly_terms(rng, R.nvars, p, 3, 4).items() if any(e)})
+                if not f.is_constant():
+                    d = rng.choice(dens)
+                    entries.append((Fraction(rng.randint(1, 2 * d), d), f))
+            T = Triple(R, QDivisor(entries))
+            e0 = cartier_period(T)
+            lane = _lane(T, SigmaOptions())
+            for e in (0, 1, 2):
+                summand = lane.ascend(e + e0)
+                assert summand == lane.level(lane.ascend(e), e0), (T, e)
+                grew += summand != lane.ascend(e + e0 - 1)
+        assert grew >= 30
+
     def test_lattice_tau_builds_no_hull(self, monkeypatch):
         # divisor-free tau_b takes plain-power roots only; the Newton hull is
         # built on first use by the descending chain, never here
