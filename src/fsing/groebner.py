@@ -11,9 +11,14 @@ order and pops the largest one per step.  The reduced monic Groebner basis
 is the canonical form: two ideals are equal iff their reduced bases
 coincide, so every result in this package is reproducible run to run.
 
-Monomial input skips Buchberger: its monic generators go straight to the
-reduction, whose minimal-lead filter leaves the divisibility antichain, with
-no S-pairs and no tail reduction.
+Monomial generators come first.  A polynomial lies in a monomial ideal iff
+each of its terms does (Cox-Little-O'Shea, *Ideals, Varieties, and
+Algorithms*, 2.4), so one lex sweep strips from every other generator each
+term that a monomial generator divides.  A generator left with no term
+drops out and one left with a single term joins the monomials.  Their
+divisibility antichain M, monic and sorted, is the reduced basis when
+nothing else survives, with no S-pair and no reduction; otherwise
+Buchberger runs on M and the stripped survivors.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DegreeGuardError, RingMismatchError
-from .ring import Exponent, Polynomial, PolyRing, exponent_antichain, monomial_divides
+from .ring import Exponent, Polynomial, PolyRing, exponent_antichain, exponents_outside, monomial_divides
 
 MAX_BASIS = 500
 MAX_DEGREE = 50_000
@@ -120,9 +125,6 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
         (g.monic() for g in generators if not g.is_zero()),
         key=lambda g: (keyfn(g.leading_exponent()), g.canonical_key()),
     )
-    if all(g.is_monomial() for g in seeds):
-        return seeds
-
     basis: list[Polynomial] = []
     leads: list[Exponent] = []
     active: list[int] = []
@@ -130,7 +132,9 @@ def _buchberger(ring: PolyRing, generators: Sequence[Polynomial]) -> list[Polyno
     # a seed that reduces to zero by the seeds entered before it (a repeat
     # included) lies in their ideal and makes no pairs.  The others enter
     # as given: entering their remainders raised the degrees of lex bases
-    # and made some runs an order of magnitude slower.
+    # and made some runs an order of magnitude slower.  The monomial strip
+    # in Ideal.groebner_basis is no such remainder: it only deletes terms,
+    # so no seed gains a term or a degree.
     for g in seeds:
         if not active or not normal_form(g, [basis[k] for k in active]).is_zero():
             basis.append(g)
@@ -197,7 +201,25 @@ class Ideal:
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         """The reduced monic Groebner basis, sorted descending by leading monomial."""
         if self._basis is None:
-            self._basis = _reduce_basis(self.ring, _buchberger(self.ring, self.generators))
+            ring = self.ring
+            monomials = [e for g in self.generators if g.is_monomial() for e in g.terms]
+            polynomials = [g for g in self.generators if not g.is_monomial()]
+            survivors = []
+            if polynomials:
+                outside = exponents_outside(monomials, (e for g in polynomials for e in g.terms))
+                for g in polynomials:
+                    terms = {e: c for e, c in g.terms.items() if e in outside}
+                    if len(terms) > 1:
+                        survivors.append(Polynomial(ring, terms))
+                    else:
+                        monomials.extend(terms)
+            antichain = exponent_antichain(monomials)
+            if survivors:
+                seeds = [Polynomial(ring, {e: 1}, e) for e in antichain] + survivors
+                self._basis = _reduce_basis(ring, _buchberger(ring, seeds))
+            else:
+                antichain = sorted(antichain, key=ring.order.key, reverse=True)
+                self._basis = tuple(Polynomial(ring, {e: 1}, e) for e in antichain)
         return self._basis
 
     # -- predicates ----------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from functools import cache
 from math import isqrt
-from operator import le
+from operator import add, le, neg
 from typing import Iterable, Iterator, Mapping
 
 from .errors import RingMismatchError
@@ -76,6 +76,38 @@ def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     return tuple(kept)
 
 
+def exponents_outside(generators: Iterable[Exponent], points: Iterable[Exponent]) -> set[Exponent]:
+    """The ``points`` that no element of ``generators`` divides: those outside their monomial ideal.
+
+    The sweep of ``exponent_antichain`` over generators and points together,
+    in which a point is tested like a generator but never kept.
+    """
+    generators = set(generators)
+    points = set(points) - generators
+    outside: set[Exponent] = set()
+    kept: list[Exponent] = []
+    ys: list[int] = []
+    zs: list[int] = []
+    for e in sorted(generators | points):
+        if len(e) > 3:
+            if not any(monomial_divides(k, e) for k in kept):
+                (outside.add if e in points else kept.append)(e)
+            continue
+        y, z = ((0, 0) + e)[-2:]
+        i = bisect_right(ys, y)
+        if i and zs[i - 1] <= z:
+            continue
+        if e in points:
+            outside.add(e)
+            continue
+        j = i
+        while j < len(zs) and zs[j] >= z:
+            j += 1
+        ys[i:j], zs[i:j] = [y], [z]
+        kept.append(e)
+    return outside
+
+
 @cache
 def _is_prime(n: int) -> bool:
     # deterministic trial division; n <= 2^31 - 1 keeps the bound at 46341,
@@ -113,7 +145,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return exponent
         # grevlex: compare total degree, then reversed exponents negated
-        return (sum(exponent), tuple(-e for e in reversed(exponent)))
+        return (sum(exponent), tuple(map(neg, reversed(exponent))))
 
     def descending_key(self, exponent: Exponent):
         """``key`` with every entry negated: a min-heap on it pops the largest monomial first."""
@@ -361,13 +393,13 @@ class Polynomial:
                 return Polynomial(self.ring, dict(b))
             return Polynomial(
                 self.ring,
-                {tuple(x + y for x, y in zip(ea, eb)): (ca * cb) % p for eb, cb in b.items()},
+                {tuple(map(add, ea, eb)): (ca * cb) % p for eb, cb in b.items()},
             )
         acc: dict[Exponent, int] = {}
         get = acc.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 acc[e] = get(e, 0) + ca * cb
         return Polynomial(self.ring, {e: r for e, c in acc.items() if (r := c % p)})
 

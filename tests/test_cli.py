@@ -374,6 +374,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (0, "sigma = (1)\nn = 0  e_max = 1  probe_stable = yes\n")
 
+    def test_monomial_heavy_probe_row_ends(self, capsys):
+        # the probe levels of this mixed row root ideals whose generators are
+        # nearly all monomials; before those stripped the other generators
+        # ahead of Buchberger, --probe 2 took about 20 s and --probe 3 ran
+        # past 60 s
+        argv = ["sigma", "--prime", "3", "--vars", "x,y", "--divisor", "1/3*(x^2*y^3) + 2*(-x*y^2 - y^3)",
+                "--ideal", "[y^2, x^2]", "--t", "6", "--emax", "2"]
+        code, fixed, _ = invoke(capsys, *argv, "--probe", "0")
+        assert code == 0
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, *argv, "--probe", "2")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert out.splitlines()[0] == fixed.splitlines()[0]
+        assert out.splitlines()[1].endswith("probe_stable = yes")
+
     @pytest.mark.parametrize("ideal, root", [("[x]", "(1)"), ("[]", "(0)")])
     def test_froot_huge_level(self, capsys, ideal, root):
         # p^e is never formed past the largest exponent: the root of (x) at

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import add, le
 
 import pytest
 
@@ -34,14 +35,16 @@ class TestKnownBases:
         assert basis == ["y^5", "x^3", "x^2*y"]
 
     def test_monomial_basis_needs_no_reduction(self, monkeypatch):
-        import fsing.groebner
-
+        # non-unit coefficients and repeats: the basis is the antichain,
+        # monic and descending, with no Buchberger run and no normal form
         calls = []
         original = fsing.groebner.normal_form
         monkeypatch.setattr(fsing.groebner, "normal_form", lambda *args: calls.append(args) or original(*args))
+        buchberger = fsing.groebner._buchberger
+        monkeypatch.setattr(fsing.groebner, "_buchberger", lambda *args: calls.append(args) or buchberger(*args))
         R = ring_xy()
         x, y = R.variable(0), R.variable(1)
-        I = Ideal(R, [x**2 * y, x**3, x**2 * y**4, y**5, 2 * x**3 * y])
+        I = Ideal(R, [3 * x**2 * y, x**3, x**2 * y**4, 4 * y**5, 2 * x**3 * y, 3 * x**2 * y])
         assert [str(g) for g in I.groebner_basis()] == ["y^5", "x^3", "x^2*y"]
         assert calls == []
         # monomial only once reduced: Buchberger and tail reduction still run
@@ -74,6 +77,7 @@ class TestKnownBases:
         assert I.is_zero()
         assert not I.is_unit()
         assert str(I) == "(0)"
+        assert I.groebner_basis() == Ideal(R, [R.zero()]).groebner_basis() == ()
         assert I.contains(R.zero())
         assert not I.contains(R.one())
 
@@ -122,11 +126,12 @@ class TestNormalForm:
     def test_basis_is_a_cached_tuple(self):
         R = ring_xy()
         x, y = R.variable(0), R.variable(1)
-        I = Ideal(R, [x**2 - y, x * y - 1])
-        basis = I.groebner_basis()
-        assert type(basis) is tuple
-        assert I.groebner_basis() is basis
-        assert normal_form(x**3, list(basis)) == normal_form(x**3, basis)
+        for gens in ([x**2 - y, x * y - 1], [x**2, y**3]):
+            I = Ideal(R, gens)
+            basis = I.groebner_basis()
+            assert type(basis) is tuple
+            assert I.groebner_basis() is basis
+            assert normal_form(x**3, list(basis)) == normal_form(x**3, basis)
 
 
 class TestMembership:
@@ -241,34 +246,123 @@ def _random_ideal(rng: random.Random, p: int, order: str) -> tuple[PolyRing, lis
     return R, gens
 
 
+def _mixed_generators(rng: random.Random, p: int, order: str) -> tuple[PolyRing, list]:
+    """1-4 monomials with any nonzero coefficient and 1-3 polynomials of 1-4
+    terms, shuffled, in 1-3 variables.  Over half of the polynomial terms
+    lie in the monomial ideal, most as multiples of a drawn monomial, so the
+    monomial strip of ``Ideal.groebner_basis`` removes terms, drops some
+    polynomials and leaves one term of others."""
+    nvars = rng.randint(1, 3)
+    R = PolyRing(p, ["x", "y", "z"][:nvars], MonomialOrder(order))
+
+    def exponent(top):
+        return tuple(rng.randint(0, top) for _ in range(nvars))
+
+    monomials = [e for e in (exponent(4) for _ in range(rng.randint(1, 4))) if any(e)] or [(1,) * nvars]
+    gens = [R.monomial(e, rng.randint(1, p - 1)) for e in monomials]
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(map(add, rng.choice(monomials), exponent(2))) if rng.random() < 0.4 else exponent(3)
+            terms[e] = rng.randint(1, p - 1)
+        gens.append(R.from_terms(terms))
+    rng.shuffle(gens)
+    return R, gens
+
+
+def _terms_left(gens) -> list[int]:
+    """For each generator with two terms or more, how many of its terms no monomial generator divides."""
+    monomials = [e for g in gens if g.is_monomial() for e in g.terms]
+    return [sum(not any(all(map(le, m, e)) for m in monomials) for e in g.terms) for g in gens if not g.is_monomial()]
+
+
 class TestSympyOracle:
     """Reduced bases against sympy's, both as sets of monic term dicts with
     residues in [0, p).  sympy is a local test oracle only."""
+
+    @staticmethod
+    def _agrees(sympy, R, gens) -> None:
+        p = R.p
+
+        def monic(terms):
+            inv = pow(terms[max(terms, key=R.order.key)], p - 2, p)
+            return frozenset((e, c * inv % p) for e, c in terms.items())
+
+        ours = {frozenset(g.terms.items()) for g in Ideal(R, gens).groebner_basis()}
+        syms = sympy.symbols(R.variables)
+        exprs = [sum(c * sympy.prod([s**k for s, k in zip(syms, e)]) for e, c in g.terms.items()) for g in gens]
+        theirs = set()
+        for poly in sympy.groebner(exprs, *syms, modulus=p, order=R.order.kind).polys:
+            terms = {e: r for e, c in poly.terms() if (r := int(c) % p)}
+            theirs.add(monic(terms))
+        assert ours == theirs, [str(g) for g in gens]
 
     @pytest.mark.parametrize("order", MonomialOrder.KINDS)
     @pytest.mark.parametrize("p", [2, 3, 7, 32003])
     def test_reduced_basis_matches_sympy(self, p, order):
         sympy = pytest.importorskip("sympy")
-
-        def monic(terms, key):
-            inv = pow(terms[max(terms, key=key)], p - 2, p)
-            return frozenset((e, c * inv % p) for e, c in terms.items())
-
         rng = random.Random(7919 * p + len(order))
         new_leads = 0
         for _ in range(16):
             R, gens = _random_ideal(rng, p, order)
-            ours = {frozenset(g.terms.items()) for g in Ideal(R, gens).groebner_basis()}
-            syms = sympy.symbols(R.variables)
-            exprs = [sum(c * sympy.prod([s**k for s, k in zip(syms, e)]) for e, c in g.terms.items()) for g in gens]
-            theirs = set()
-            for poly in sympy.groebner(exprs, *syms, modulus=p, order=order).polys:
-                terms = {e: r for e, c in poly.terms() if (r := int(c) % p)}
-                theirs.add(monic(terms, R.order.key))
-            assert ours == theirs, [str(g) for g in gens]
+            self._agrees(sympy, R, gens)
             basis_leads = {g.leading_exponent() for g in Ideal(R, gens).groebner_basis()}
             new_leads += not basis_leads <= {g.leading_exponent() for g in gens}
         assert new_leads >= 8  # leading terms that only S-pairs produce
+
+    @pytest.mark.parametrize("order", MonomialOrder.KINDS)
+    @pytest.mark.parametrize("p", [2, 3, 7, 32003])
+    def test_mixed_monomial_sets_match_sympy(self, p, order):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7927 * p + len(order))
+        survivors = 0
+        for _ in range(16):
+            R, gens = _mixed_generators(rng, p, order)
+            self._agrees(sympy, R, gens)
+            survivors += any(n > 1 for n in _terms_left(gens))
+        assert 0 < survivors < 16  # both with and without a Buchberger run
+
+
+class TestMonomialFirst:
+    """The monomial strip of ``Ideal.groebner_basis`` against Buchberger and
+    reduction on the generators as given."""
+
+    @pytest.mark.parametrize("order", MonomialOrder.KINDS)
+    @pytest.mark.parametrize("p", [2, 3, 7, 32003])
+    def test_matches_buchberger_on_unstripped_generators(self, p, order):
+        # seeded per (p, order), 40 sets each; every outcome of the strip
+        # occurs in each parametrization
+        rng = random.Random(4099 * p + len(order))
+        seen = {"dropped": 0, "joined": 0, "survived": 0, "nvars": set()}
+        for _ in range(40):
+            R, gens = _mixed_generators(rng, p, order)
+            want = fsing.groebner._reduce_basis(R, fsing.groebner._buchberger(R, gens))
+            assert Ideal(R, gens).groebner_basis() == want, [str(g) for g in gens]
+            left = _terms_left(gens)
+            seen["dropped"] += 0 in left
+            seen["joined"] += 1 in left
+            seen["survived"] += any(n > 1 for n in left)
+            seen["nvars"].add(R.nvars)
+        assert all(seen.values()) and seen["nvars"] == {1, 2, 3}, seen
+
+    @pytest.mark.parametrize("gens, want", [
+        # every term of the polynomial lies in (x^2, y^3): it drops out
+        (lambda R, x, y: [x**2, 2 * x**3 + 3 * x**2 * y**4 - y**3, y**3], "(y^3, x^2)"),
+        # x^3 lies in (x^2) and 3*x*y is left: it joins as x*y
+        (lambda R, x, y: [x**2, x**3 + 3 * x * y], "(x^2, x*y)"),
+        # a constant divides every term
+        (lambda R, x, y: [x + y, R.constant(3), x**2 - y], "(1)"),
+    ])
+    def test_strip_alone_decides(self, monkeypatch, gens, want):
+        def refuse(*args):
+            raise AssertionError("Buchberger ran on a monomial ideal")
+
+        monkeypatch.setattr(fsing.groebner, "_buchberger", refuse)
+        monkeypatch.setattr(fsing.groebner, "_reduce_basis", refuse)
+        R = ring_xy()
+        I = Ideal(R, gens(R, R.variable(0), R.variable(1)))
+        assert str(I) == want
+        assert all(g.leading_coefficient() == 1 for g in I.groebner_basis())
 
 
 class TestPairPruning:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from operator import le
 
 import pytest
 
 from fsing import Ideal, MonomialOrder, PolyRing, normal_form
 from fsing.errors import RingMismatchError
-from fsing.ring import _is_prime, exponent_antichain
+from fsing.ring import _is_prime, exponent_antichain, exponents_outside
 
 from conftest import poly_from_dict, poly_to_dict
 from oracles import minimal_elements_oracle, naive_add, naive_mul, naive_pow, random_poly_terms
@@ -191,6 +192,26 @@ class TestExponentAntichain:
             seen["duplicates"] += len(set(points)) < len(points)
             seen["tie among kept"] += any(u[i] == v[i] for u in want for v in want if u < v for i in range(n))
         assert nvars_seen == set(range(6))
+        assert all(seen.values()), seen
+
+    def test_outside_matches_naive_divisibility(self):
+        # seed 12013, 1,000 draws of 0-5 variables: generators (not always an
+        # antichain) and probes from the same small ranges, so some probes
+        # equal a generator and some repeat
+        rng = random.Random(12013)
+        seen = {"inside": 0, "outside": 0, "probe is a generator": 0, "no generators": 0}
+        for _ in range(1000):
+            n = rng.randint(0, 5)
+            top = rng.choice([1, 3, 8])
+            gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+            probes = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 25))]
+            probes += rng.sample(gens, min(len(gens), rng.randint(0, 2)))
+            want = {e for e in probes if not any(all(map(le, g, e)) for g in gens)}
+            assert exponents_outside(iter(gens), iter(probes)) == want, (n, gens, probes)
+            seen["inside"] += len(want) < len(set(probes))
+            seen["outside"] += bool(want)
+            seen["probe is a generator"] += bool(set(gens) & set(probes))
+            seen["no generators"] += not gens and bool(probes)
         assert all(seen.values()), seen
 
 
