@@ -166,7 +166,7 @@ def monomial_frobenius_root(a: MonomialIdeal, e: int, p: int) -> MonomialIdeal:
     if e < 0:
         raise ValueError("negative Frobenius exponent")
     q = p**e
-    return MonomialIdeal(a.nvars, [tuple(x // q for x in g) for g in a.generators])
+    return MonomialIdeal._of(a.nvars, exponent_antichain(tuple(x // q for x in g) for g in a.generators))
 
 
 def _digit_vector_count(k: int, p: int, s: int) -> int:
@@ -229,5 +229,5 @@ def monomial_power_root(a: MonomialIdeal, n: int, e: int, p: int) -> MonomialIde
                     tuple((x + y) // p for x, y in zip(h, w)) for h in S for w in products
                 )
         state = {m: exponent_antichain(points) for m, points in grown.items()}
-    products = (MonomialIdeal(a.nvars, S) * a.power(m) for m, S in state.items())
-    return MonomialIdeal(a.nvars, chain.from_iterable(b.generators for b in products))
+    products = (MonomialIdeal._of(a.nvars, S) * a.power(m) for m, S in state.items())
+    return MonomialIdeal._of(a.nvars, exponent_antichain(chain.from_iterable(b.generators for b in products)))

@@ -13,7 +13,10 @@ and the lattice lane of ``nonfpure`` come from one walker, ``_lattice_walk``,
 on integer rows <w, u> >= r with w >= 0; it closes each prefix over the
 first n - 1 coordinates in closed form, emits one staircase per fiber over
 the first n - 2 (a point only where the last coordinate strictly falls,
-stopping at its floor), and refuses boxes past MAX_BOX_POINTS points.
+stopping at its floor), in 3 variables ends at the first fiber that starts
+on the floor (every later one lies above it), and refuses boxes past
+MAX_BOX_POINTS points.  The hull keeps each Newton ideal it has walked, so
+a second ``newton_ideal`` call on one ideal object walks nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class MonomialIdeal:
     Immutable and hashable; the antichain is the canonical form, so equality
     is tuple equality.  The unit ideal is ((0,..,0),); the zero ideal has no
     generators.  ``newton_hull`` keeps the hull in ``_hull``, per object.
+    The constructor checks every exponent of its input; fsing's own walks,
+    lane states, sums, products and roots, already sorted antichains, come
+    in through ``_of`` with no check.
     """
 
     __slots__ = ("nvars", "generators", "_hull")
@@ -59,12 +65,21 @@ class MonomialIdeal:
         self._hull: NewtonPolyhedron | None = None
 
     @classmethod
+    def _of(cls, nvars: int, antichain: tuple[Exponent, ...]) -> "MonomialIdeal":
+        """The ideal of ``antichain``, a sorted antichain of nonnegative
+        ``nvars``-tuples that fsing computed itself, taken as given with no
+        check; user input goes through the validating constructor."""
+        ideal = cls.__new__(cls)
+        ideal.nvars, ideal.generators, ideal._hull = nvars, antichain, None
+        return ideal
+
+    @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, [(0,) * nvars])
+        return cls._of(nvars, ((0,) * nvars,))
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, [])
+        return cls._of(nvars, ())
 
     def is_unit(self) -> bool:
         return self.generators == ((0,) * self.nvars,)
@@ -83,13 +98,13 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.nvars, self.generators + other.generators)
+        return MonomialIdeal._of(self.nvars, exponent_antichain(self.generators + other.generators))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(
+        return MonomialIdeal._of(
             self.nvars,
-            [tuple(x + y for x, y in zip(a, b)) for a in self.generators for b in other.generators],
+            exponent_antichain(tuple(x + y for x, y in zip(a, b)) for a in self.generators for b in other.generators),
         )
 
     def power(self, n: int) -> "MonomialIdeal":
@@ -115,7 +130,7 @@ class MonomialIdeal:
             )
         return square_multiply(self, n, MonomialIdeal.unit(self.nvars))
 
-    def to_ideal(self, ring: PolyRing) -> "object":
+    def to_ideal(self, ring: PolyRing) -> "Ideal":
         from .groebner import Ideal
 
         if ring.nvars != self.nvars:
@@ -142,6 +157,21 @@ class MonomialIdeal:
 
 
 def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the cofactor expansion up to
+    3x3, the sizes of hulls in at most 3 variables, else ``_bareiss``."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return _bareiss(rows)
+
+
+def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; a zero pivot swaps in a lower row."""
     m = [row[:] for row in rows]
@@ -165,14 +195,17 @@ class NewtonPolyhedron:
 
     ``facets`` holds the non-coordinate facets as primitive integer pairs
     (w, c) meaning <w, u> >= c; coordinate half-spaces u_i >= 0 are implicit.
+    ``newton_ideal`` keeps each Newton ideal it walks in ``_ideals``, keyed by
+    (t, mode), so it lives as long as the hull, which lives on its ideal.
     """
 
-    __slots__ = ("nvars", "generators", "facets")
+    __slots__ = ("nvars", "generators", "facets", "_ideals")
 
     def __init__(self, nvars: int, generators: tuple[Exponent, ...], facets: tuple[tuple[Exponent, int], ...]):
         self.nvars = nvars
         self.generators = generators
         self.facets = facets
+        self._ideals: dict[tuple[Fraction, MembershipMode], MonomialIdeal] = {}
 
     def coordinate_maximum(self, i: int) -> int:
         return max(g[i] for g in self.generators)
@@ -189,8 +222,9 @@ def newton_hull(a: MonomialIdeal) -> NewtonPolyhedron:
     w >= 0, c > 0 whose affine span is fixed by some k generators it passes
     through together with n-k coordinate directions it contains; enumerating
     those supports, solving <w, s> = 1 over them by Cramer's rule in integer
-    determinants, and keeping the valid inequalities yields all facets
-    (duplicates collapse in the final set).
+    determinants, and keeping the valid inequalities yields all facets.  Many
+    supports give one hyperplane, so each primitive (w, c) is checked against
+    the generators once.
     """
     if a._hull is not None:
         return a._hull
@@ -198,7 +232,8 @@ def newton_hull(a: MonomialIdeal) -> NewtonPolyhedron:
         raise ValueError("Newton polyhedron requires a proper nonzero monomial ideal")
     n = a.nvars
     pts = a.generators
-    found: set[tuple[Exponent, int]] = set()
+    seen: set[tuple[Exponent, int]] = set()
+    found: list[tuple[Exponent, int]] = []
     coords = range(n)
     for k in range(1, n + 1):
         for support in combinations(pts, k):
@@ -213,9 +248,14 @@ def newton_hull(a: MonomialIdeal) -> NewtonPolyhedron:
                     w[i] = _det([row[:col] + [1] + row[col + 1 :] for row in rows])
                 if c < 0:
                     c, w = -c, [-v for v in w]
-                if min(w) >= 0 and all(sum(map(mul, w, q)) >= c for q in pts):
-                    g = gcd(c, *w)
-                    found.add((tuple(v // g for v in w), c // g))
+                if min(w) < 0:
+                    continue
+                g = gcd(c, *w)
+                w, c = tuple(v // g for v in w), c // g
+                if (w, c) not in seen:
+                    seen.add((w, c))
+                    if all(sum(map(mul, w, q)) >= c for q in pts):
+                        found.append((w, c))
     a._hull = NewtonPolyhedron(n, pts, tuple(sorted(found)))
     return a._hull
 
@@ -266,7 +306,9 @@ def _lattice_walk(rows: Iterable[tuple[Exponent, int]], lb: Sequence[int], ub: S
     only falls as y grows, and a row with w_last = 0 stays feasible once it
     is; a point is emitted only where the least strictly falls, and the fiber
     stops once it reaches lb[last].  So within one fiber the emitted last
-    coordinates strictly fall.  The output is not reduced to an antichain.
+    coordinates strictly fall.  In 3 variables every later fiber lies above a
+    fiber's first point (x, lb_y, lb_z), so the walk ends at such a point.
+    The output is not reduced to an antichain.
     """
     last = len(lb) - 1
     _box_guard([hi - lo for lo, hi in zip(lb, ub)])
@@ -293,6 +335,8 @@ def _lattice_walk(rows: Iterable[tuple[Exponent, int]], lb: Sequence[int], ub: S
                     out.append((*outer, y, least))
                     prev = least
                     if least == floor:
+                        if last == 2 and y == lb[mid]:
+                            return out
                         break
     return out
 
@@ -316,7 +360,8 @@ def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "cl
 
     For 'interior' this is the multiplier-ideal-style membership; for
     'closed' it is the limit of the interior ideals as the exponent
-    increases to t.
+    increases to t.  The hull of ``a`` keeps the ideal per (t, mode), so a
+    repeat call returns the same object.
     """
     _check_mode(mode)
     t = Fraction(t)
@@ -324,7 +369,10 @@ def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "cl
         raise ValueError("exponent t must be positive")
     if not a.is_proper():
         return a  # P is the whole orthant (every v + 1 is interior) or empty
-    return MonomialIdeal(a.nvars, _newton_walk(newton_hull(a), t, mode))
+    P = newton_hull(a)
+    if (t, mode) not in P._ideals:
+        P._ideals[t, mode] = MonomialIdeal._of(a.nvars, exponent_antichain(_newton_walk(P, t, mode)))
+    return P._ideals[t, mode]
 
 
 def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -338,11 +386,11 @@ def integral_closure_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     if n == 0 or a.is_unit():
         return MonomialIdeal.unit(a.nvars)
     if len(a.generators) <= 1:
-        return MonomialIdeal(a.nvars, [tuple(n * g for g in gen) for gen in a.generators])
+        return MonomialIdeal._of(a.nvars, tuple(tuple(n * g for g in gen) for gen in a.generators))
     P = newton_hull(a)
     k = a.nvars
     ub = [n * P.coordinate_maximum(i) for i in range(k - 1)]
-    return MonomialIdeal(k, _lattice_walk([(w, n * c) for w, c in P.facets], [0] * k, ub))
+    return MonomialIdeal._of(k, exponent_antichain(_lattice_walk([(w, n * c) for w, c in P.facets], [0] * k, ub)))
 
 
 def lct_monomial(a: MonomialIdeal) -> Fraction:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -143,6 +144,29 @@ class TestHull:
         P = newton_hull(MonomialIdeal(3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)]))
         assert ((1, 1, 1), 3) in P.facets
 
+    def test_closed_form_det_matches_bareiss(self):
+        # small entries make singular matrices and zero pivots common; the
+        # Leibniz sum over permutations is the independent reference
+        def leibniz(rows):
+            total = 0
+            for perm in permutations(range(len(rows))):
+                inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+                term = (-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                total += term
+            return total
+
+        rng = random.Random(23017)
+        singular = 0
+        for _ in range(800):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-3, 6) for _ in range(n)] for _ in range(n)]
+            want = leibniz(rows)
+            assert fsing.newton._det(rows) == fsing.newton._bareiss(rows) == want, rows
+            singular += not want
+        assert singular >= 20, singular
+
     def test_hull_kept_on_the_ideal(self):
         a = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
         assert newton_hull(a) is newton_hull(a)
@@ -225,6 +249,23 @@ class TestNewtonIdeal:
 
     def test_unit_input(self):
         assert newton_ideal(MonomialIdeal.unit(2), 5, "closed").is_unit()
+
+    def test_kept_on_the_hull(self):
+        # a repeat call returns the kept object, per (t, mode), and each kept
+        # ideal is the one a fresh ideal, with a fresh hull, walks
+        rng = random.Random(23029)
+        differ = 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            gens = random_monomial_gens(rng, n, rng.randint(1, 4), 4 if n == 4 else 6)
+            a = MonomialIdeal(n, gens)
+            ts = {Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(2)}
+            kept = {(t, mode): newton_ideal(a, t, mode) for t in ts for mode in ("closed", "interior")}
+            for (t, mode), ideal in kept.items():
+                assert newton_ideal(a, t, mode) is ideal
+                assert newton_ideal(MonomialIdeal(n, gens), t, mode) == ideal, (gens, t, mode)
+            differ += any(kept[t, "closed"] != kept[t, "interior"] for t in ts)
+        assert differ >= 30, differ
 
 
 class TestClosurePowers:
@@ -437,6 +478,28 @@ class TestLatticeWalk:
             seen["flat_last"] += any(not w[-1] and r > 0 for w, r in rows)
         assert seen["empty"] >= 20 and seen["flat_last"] >= 100, seen
 
+    def test_three_variable_walk_ends_at_a_full_fiber(self):
+        # the full scan walks each x-fiber on its own; the walk may only cut
+        # that scan short, and never changes its antichain
+        rng = random.Random(23031)
+        seen = {"cut": 0, "flat_last": 0, "infeasible_fiber": 0}
+        for _ in range(600):
+            rows = [
+                (tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(3)), rng.randint(-2, 14))
+                for _ in range(rng.randint(1, 4))
+            ]
+            lb = [rng.randint(0, 3) for _ in range(3)]
+            ub = [lo + rng.randint(0, 6) for lo in lb[:-1]]
+            fibers = [fsing.newton._lattice_walk(rows, [x, *lb[1:]], [x, ub[1]]) for x in range(lb[0], ub[0] + 1)]
+            full = [u for fiber in fibers for u in fiber]
+            walk = fsing.newton._lattice_walk(rows, lb, ub)
+            assert walk == full[: len(walk)], (rows, lb, ub)
+            assert exponent_antichain(walk) == exponent_antichain(full), (rows, lb, ub)
+            seen["cut"] += len(walk) < len(full)
+            seen["flat_last"] += any(not w[-1] and r > 0 for w, r in rows)
+            seen["infeasible_fiber"] += any(not fiber for fiber in fibers) and bool(full)
+        assert seen["cut"] >= 50 and seen["flat_last"] >= 100 and seen["infeasible_fiber"] >= 20, seen
+
 
 class TestBoxGuard:
     def test_prefix_walk_names_knob(self):
@@ -454,9 +517,10 @@ class TestBoxGuard:
         cubics = tuple(sorted(v for v in iproduct(range(4), repeat=3) if sum(v) == 3))
         monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 64)
         assert newton_ideal(a, 2).generators == cubics
+        # a's hull keeps the ideal just walked, so the guard needs a fresh ideal
         monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 63)
         with pytest.raises(DegreeGuardError, match=r"newton\.MAX_BOX_POINTS = 63 "):
-            newton_ideal(a, 2)
+            newton_ideal(MonomialIdeal(3, a.generators), 2)
 
     def test_jumping_witness_box_names_knob(self, monkeypatch):
         monkeypatch.setattr(fsing.newton, "MAX_BOX_POINTS", 10)
