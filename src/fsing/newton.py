@@ -28,7 +28,8 @@ from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .errors import DegreeGuardError
-from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, monomial_divides, square_multiply
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, exponent_vector, exponents_outside
+from .ring import monomial_divides, square_multiply
 
 MembershipMode = Literal["closed", "interior"]
 
@@ -46,22 +47,18 @@ class MonomialIdeal:
     Immutable and hashable; the antichain is the canonical form, so equality
     is tuple equality.  The unit ideal is ((0,..,0),); the zero ideal has no
     generators.  ``newton_hull`` keeps the hull in ``_hull``, per object.
-    The constructor checks every exponent of its input; fsing's own walks,
+    The constructor checks every exponent of its input with
+    ``ring.exponent_vector`` (``nvars`` nonnegative ints); fsing's own walks,
     lane states, sums, products and roots, already sorted antichains, come
-    in through ``_of`` with no check.
+    in through ``_of`` with no check.  ``contains_ideal`` is one staircase
+    sweep, ``ring.exponents_outside``, of the other ideal's generators.
     """
 
     __slots__ = ("nvars", "generators", "_hull")
 
     def __init__(self, nvars: int, exponents: Iterable[Exponent] = ()):
-        pts = []
-        for e in exponents:
-            e = tuple(e)
-            if len(e) != nvars or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e} for {nvars} variables")
-            pts.append(e)
         self.nvars = nvars
-        self.generators = exponent_antichain(pts)
+        self.generators = exponent_antichain([exponent_vector(e, nvars) for e in exponents])
         self._hull: NewtonPolyhedron | None = None
 
     @classmethod
@@ -94,7 +91,7 @@ class MonomialIdeal:
         return any(monomial_divides(g, exponent) for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.generators)
+        return not exponents_outside(self.generators, other.generators)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -265,24 +262,15 @@ def member(P: NewtonPolyhedron, v: Exponent, t: Fraction | int = 1, mode: Member
 
     'interior' requires strict inequality on the scaled non-coordinate
     facets; the coordinate half-spaces are automatically strict since
-    v + 1 >= 1 in every coordinate.
+    v + 1 >= 1 in every coordinate.  ``v`` must hold ``P.nvars`` nonnegative
+    ints, and is tested against the rows ``_newton_walk`` walks.
     """
     _check_mode(mode)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scaling factor t must be positive")
-    if len(v) != P.nvars or any(x < 0 for x in v):
-        raise ValueError(f"bad exponent vector {v}")
-    tn, td = t.numerator, t.denominator
-    for w, c in P.facets:
-        lhs = td * sum(wi * (vi + 1) for wi, vi in zip(w, v))
-        rhs = tn * c
-        if mode == "closed":
-            if lhs < rhs:
-                return False
-        elif lhs <= rhs:
-            return False
-    return True
+    v = exponent_vector(v, P.nvars)
+    return all(sum(map(mul, w, v)) >= r for w, r in _rows(P, t, mode))
 
 
 def _box_guard(bounds: Sequence[int]) -> None:
@@ -341,18 +329,22 @@ def _lattice_walk(rows: Iterable[tuple[Exponent, int]], lb: Sequence[int], ub: S
     return out
 
 
-def _newton_walk(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> list[Exponent]:
-    n = P.nvars
-    tn, td = t.numerator, t.denominator
-    # every member dominates a member whose i-th coordinate is at most
-    # ceil(t * max_i) + 1 (cap against a dominated point of t*conv), so the
-    # minimal generators live inside this box; td*<w, v + 1> > tn*c is
-    # td*<w, v + 1> >= tn*c + 1 in integers, that is
-    # <w, v> >= ceil((tn*c + extra)/td) - |w|
-    ub = [ceil_div(tn * m, td) + 1 if m else 0 for m in map(P.coordinate_maximum, range(n - 1))]
+def _rows(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> list[tuple[Exponent, int]]:
+    """Integer rows (w, r), one per facet (w, c): v + 1 lies in t*P(a), closed or
+    interior, exactly when <w, v> >= r for every row.  With t = tn/td the facet
+    asks td*<w, v + 1> >= tn*c + extra, extra = 1 for the strict (interior)
+    inequality in integers, that is <w, v> >= ceil((tn*c + extra)/td) - |w|."""
     extra = 1 if mode == "interior" else 0
-    rows = [(w, ceil_div(tn * c + extra, td) - sum(w)) for w, c in P.facets]
-    return _lattice_walk(rows, [0] * n, ub)
+    return [(w, ceil_div(t.numerator * c + extra, t.denominator) - sum(w)) for w, c in P.facets]
+
+
+def _newton_walk(P: NewtonPolyhedron, t: Fraction, mode: MembershipMode) -> list[Exponent]:
+    """The walk of ``_rows(P, t, mode)`` from 0: members of the Newton ideal,
+    every minimal one among them.  Every member dominates a member whose i-th
+    coordinate is at most ceil(t * max_i) + 1 (cap against a dominated point of
+    t*conv), so the minimal generators live inside that box."""
+    ub = [ceil_div(t.numerator * m, t.denominator) + 1 if m else 0 for m in map(P.coordinate_maximum, range(P.nvars - 1))]
+    return _lattice_walk(_rows(P, t, mode), [0] * P.nvars, ub)
 
 
 def newton_ideal(a: MonomialIdeal, t: Fraction | int, mode: MembershipMode = "closed") -> MonomialIdeal:

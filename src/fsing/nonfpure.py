@@ -72,7 +72,7 @@ from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
 from .groebner import Ideal
 from .newton import MonomialIdeal, _lattice_walk, integral_closure_power, newton_hull, newton_ideal
-from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain
+from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, exponents_outside
 
 _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
@@ -443,7 +443,7 @@ class _LatticeLane(_Lane):
         return exponent_antichain(chain.from_iterable(self._points(levels)))
 
     def contains(self, state: tuple[Exponent, ...], level: _Regions) -> bool:
-        return exponent_antichain(chain(state, *self._points([level]))) == state
+        return not exponents_outside(state, chain.from_iterable(self._points([level])))
 
     def covers(self, level: _Regions, state: tuple[Exponent, ...]) -> bool:
         """Whether each g of ``state`` lies in a region of ``level``, a level of

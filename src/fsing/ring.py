@@ -13,7 +13,7 @@ from bisect import bisect_right
 from functools import cache
 from math import isqrt
 from operator import add, le, neg
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import RingMismatchError
 
@@ -45,67 +45,64 @@ def square_multiply(base, n: int, one):
     return result
 
 
-def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Minimal elements of the up-set generated by ``points``, sorted.
+def exponent_vector(exponent: Iterable[int], nvars: int) -> Exponent:
+    """``exponent`` as a tuple, checked to hold ``nvars`` nonnegative ints."""
+    exp = tuple(exponent)
+    if len(exp) != nvars or not all(type(x) is int and x >= 0 for x in exp):
+        raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
+    return exp
 
-    One sweep in ascending lex order, in which every divisor of a point comes
-    before it.  Up to 3 variables (fewer are read with leading zeros) the
-    last two coordinates of the kept points form a staircase, ``ys``
-    ascending and ``zs`` strictly descending, so one bisection decides
-    whether a kept point divides the next (a dimension sweep,
-    Kung-Luccio-Preparata 1975); beyond 3 each point is compared with every
-    kept point.
+
+def _staircase_sweep(points: Iterable[Exponent], tested: Container[Exponent]) -> list[Exponent]:
+    """The ``points`` that no kept point divides, in ascending lex order; each
+    is kept unless it is in ``tested``, which is listed but never kept.
+
+    In lex order every divisor of a point comes before it.  Up to 3 variables
+    (fewer are read with leading zeros) the last two coordinates of the kept
+    points form a staircase, ``ys`` ascending and ``zs`` strictly descending,
+    so one bisection decides whether a kept point divides the next (a
+    dimension sweep, Kung-Luccio-Preparata 1975); beyond 3 each point is
+    compared with every kept point.
     """
+    listed: list[Exponent] = []
     kept: list[Exponent] = []
     ys: list[int] = []
     zs: list[int] = []
     for e in sorted(set(points)):
         if len(e) > 3:
-            if not any(monomial_divides(k, e) for k in kept):
+            if any(monomial_divides(k, e) for k in kept):
+                continue
+            if e not in tested:
                 kept.append(e)
-            continue
-        y, z = ((0, 0) + e)[-2:]
-        i = bisect_right(ys, y)
-        if i and zs[i - 1] <= z:
-            continue
-        j = i
-        while j < len(zs) and zs[j] >= z:
-            j += 1
-        ys[i:j], zs[i:j] = [y], [z]
-        kept.append(e)
-    return tuple(kept)
+        else:
+            y, z = ((0, 0) + e)[-2:]
+            i = bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                continue
+            if e not in tested:
+                j = i
+                while j < len(zs) and zs[j] >= z:
+                    j += 1
+                ys[i:j], zs[i:j] = [y], [z]
+        listed.append(e)
+    return listed
+
+
+def exponent_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
+    """Minimal elements of the up-set generated by ``points``, sorted: the
+    staircase sweep keeping every point."""
+    return tuple(_staircase_sweep(points, ()))
 
 
 def exponents_outside(generators: Iterable[Exponent], points: Iterable[Exponent]) -> set[Exponent]:
     """The ``points`` that no element of ``generators`` divides: those outside their monomial ideal.
 
-    The sweep of ``exponent_antichain`` over generators and points together,
-    in which a point is tested like a generator but never kept.
+    The staircase sweep over generators and points together, with the points
+    that are not generators tested but never kept.
     """
     generators = set(generators)
-    points = set(points) - generators
-    outside: set[Exponent] = set()
-    kept: list[Exponent] = []
-    ys: list[int] = []
-    zs: list[int] = []
-    for e in sorted(generators | points):
-        if len(e) > 3:
-            if not any(monomial_divides(k, e) for k in kept):
-                (outside.add if e in points else kept.append)(e)
-            continue
-        y, z = ((0, 0) + e)[-2:]
-        i = bisect_right(ys, y)
-        if i and zs[i - 1] <= z:
-            continue
-        if e in points:
-            outside.add(e)
-            continue
-        j = i
-        while j < len(zs) and zs[j] >= z:
-            j += 1
-        ys[i:j], zs[i:j] = [y], [z]
-        kept.append(e)
-    return outside
+    tested = set(points) - generators
+    return tested.intersection(_staircase_sweep(generators | tested, tested))
 
 
 @cache
@@ -227,22 +224,13 @@ class PolyRing:
         return Polynomial(self, {exp: 1})
 
     def monomial(self, exponent: Iterable[int], coefficient: int = 1) -> "Polynomial":
-        exp = tuple(exponent)
-        if len(exp) != self.nvars or any(e < 0 for e in exp):
-            raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
-        c = coefficient % self.p
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {exp: c})
+        return self.from_terms({tuple(exponent): coefficient})
 
     def from_terms(self, terms: Mapping[Exponent, int]) -> "Polynomial":
         """Build a polynomial from an exponent->coefficient mapping (reduced mod p)."""
-        n = self.nvars
         out: dict[Exponent, int] = {}
         for exp, c in terms.items():
-            exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp} for {n} variables")
+            exp = exponent_vector(exp, self.nvars)
             c %= self.p
             if c:
                 out[exp] = c

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from itertools import product as iproduct
+from operator import le
 
 import pytest
 
@@ -45,6 +46,29 @@ class TestMonomialIdeal:
         assert not a.contains((0, 5))
         assert (a + b).contains_ideal(a * b)
         assert not (a * b).contains_ideal(a)
+
+    def test_contains_ideal_matches_pairwise(self):
+        # seed 25013, 1,500 pairs of ideals in 1-5 variables: the one sweep
+        # against every generator of the other ideal tested with every
+        # generator of this one; zero ideals and shared generators included
+        rng = random.Random(25013)
+        seen = {(n, want) for n in range(1, 6) for want in (True, False)}
+        for _ in range(1500):
+            n, top = rng.randint(1, 5), rng.choice([2, 4, 7])
+            a, b = (MonomialIdeal(n, [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 6))])
+                    for _ in range(2))
+            if rng.random() < 0.3:
+                b = b + MonomialIdeal(n, a.generators[:1])
+            want = all(any(all(map(le, g, h)) for g in a.generators) for h in b.generators)
+            assert a.contains_ideal(b) == want, (a, b)
+            seen.discard((n, want))
+        assert not seen, seen
+
+    def test_rejects_bad_exponents(self):
+        for bad in ([(1.5, 0), (0, 2)], [(1, 0, 0)], [(-1, 2)], [(True, 1)], [(Fraction(2), 1)]):
+            with pytest.raises(ValueError, match="bad exponent vector .* for 2 variables"):
+                MonomialIdeal(2, bad)
+        assert MonomialIdeal(2, [[2, 0], (0, 3)]).generators == ((0, 3), (2, 0))
 
     def test_power(self):
         a = MonomialIdeal(2, [(2, 0), (0, 3)])
@@ -203,6 +227,14 @@ class TestMembership:
             for v in iproduct(range(6), repeat=n):
                 if member(P, v, t, "interior"):
                     assert member(P, v, t, "closed")
+
+    def test_rejects_bad_exponents(self):
+        # a half-integer once passed: (0.5, 0) + 1 clears every facet
+        P = newton_hull(MonomialIdeal(2, [(2, 0), (0, 3)]))
+        for bad in ((0.5, 0), (1,), (-1, 0), (False, 2)):
+            with pytest.raises(ValueError, match="bad exponent vector .* for 2 variables"):
+                member(P, bad)
+        assert member(P, [1, 1]) and not member(P, (0, 0))
 
 
 class TestNewtonIdeal:

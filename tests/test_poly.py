@@ -54,6 +54,21 @@ class TestRingConstruction:
             PolyRing(5, [])
         PolyRing(5, ["x_1", "a9"])
 
+    def test_monomial_rejects_bad_exponents(self):
+        # (0.5, 1) once gave y: the half-integer entry was taken as is
+        R = PolyRing(5, ["x", "y"])
+        for bad in ((0.5, 1), (1,), (1, 2, 0), (-1, 0), (True, 1)):
+            with pytest.raises(ValueError, match="bad exponent vector .* for 2 variables"):
+                R.monomial(bad)
+        assert R.monomial([2, 1], 7) == R.from_terms({(2, 1): 2})
+        assert R.monomial((1, 1), 5).is_zero()
+
+    def test_from_terms_rejects_bad_exponents(self):
+        R = PolyRing(5, ["x", "y"])
+        for bad in ((1.0, 1), (0,), (0, -2), (1, False)):
+            with pytest.raises(ValueError, match="bad exponent vector .* for 2 variables"):
+                R.from_terms({(0, 0): 1, bad: 2})
+
     def test_order_permutation_checked(self):
         with pytest.raises(ValueError):
             PolyRing(5, ["x", "y"], MonomialOrder("badkind"))

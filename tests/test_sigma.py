@@ -270,6 +270,31 @@ class TestLanesAgree:
             assert limits[0] == limits[1], (gens, t)
         assert repeats
 
+    def test_contains_matches_antichain_of_union(self):
+        # seed 25011: ``contains`` sweeps the walked points of a level against
+        # the state; it must equal the antichain of state and walked points
+        # being the state.  States are drawn as above (unit, maximal, or a
+        # random monomial ideal) and then followed down their chain, in 2, 3
+        # and 4 variables, so both the staircase and the pairwise branch run
+        rng = random.Random(25011)
+        seen = {(n, want) for n in (2, 3, 4) for want in (True, False)}
+        for _ in range(36):
+            n, p = rng.choice((2, 3, 4)), rng.choice((2, 3))
+            R = PolyRing(p, ["x", "y", "z", "w"][:n])
+            gens = random_monomial_gens(rng, n, rng.randint(1, 3), 3 if n < 4 else 2)
+            T = Triple(R, a=MonomialIdeal(n, gens), t=Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+            J = rng.choice((maximal_ideal(R), Ideal.unit(R), MonomialIdeal(n, random_monomial_gens(rng, n, 2, 5)).to_ideal(R)))
+            lattice, state, _ = self.lanes(T, J, 2)
+            for _ in range(4):
+                for e in (1, 2):
+                    level = lattice.level(state, e)
+                    walked = list(chain.from_iterable(lattice._points([level])))
+                    want = exponent_antichain([*state, *walked]) == state
+                    assert lattice.contains(state, level) == want, (gens, T.t, state, e)
+                    seen.discard((n, want))
+                state = lattice.tail(state, 1, 2)
+        assert not seen, seen
+
     def test_lattice_walk_guard_names_knob(self, monkeypatch):
         R = PolyRing(5, ["x", "y", "z"])
         T = Triple(R, a=MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]), t=2)
