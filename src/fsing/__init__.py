@@ -33,7 +33,6 @@ from .nonfpure import (
     SigmaOptions,
     SigmaResult,
     Triple,
-    cartier_period,
     is_sharply_fpure,
     is_strongly_fregular,
     sigma,
@@ -74,7 +73,6 @@ __all__ = [
     "SigmaOptions",
     "SigmaResult",
     "Triple",
-    "cartier_period",
     "check_restriction",
     "different_on_hyperplane",
     "frobenius_root",

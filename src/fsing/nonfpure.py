@@ -18,7 +18,7 @@ ascending chain for the test ideal is the same picture with exponents
 ceil(t_i p^e) and plain powers of a.
 
 A triple with a period has an exact step, with no truncation and no
-probe: a divisor-only triple with a Cartier period e0 (``cartier_period``)
+probe: a divisor-only triple with a Cartier level e0 (the lane's ``cartier``)
 steps by level e0 alone, whose iterates from R are the levels n*e0 of R,
 as (I^{[q]} K)^{[1/q]} = I K^{[1/q]} (Blickle-Mustata-Smith), descending
 to Blickle's stable image; a divisor-free triple sums the levels up to a
@@ -29,7 +29,7 @@ at a few larger e) checks that nothing visible was lost.  A chain member
 J has step(J) inside J, so the first level containing J ends the final step.
 
 Each level is evaluated by one of two lanes, chosen once per triple; a
-lane owns its caches, its period, the step and the tail sums:
+lane owns its caches, the levels of its step, the step and the tail sums:
 
 * the polynomial lane holds ideals of R and takes every root one base-p
   digit of the f_i exponents at a time (``root_of_product``, called from
@@ -66,7 +66,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import ge, mul
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonconvergenceError
 from .frobenius import monomial_power_root, root_of_product
@@ -247,13 +247,15 @@ def _stabilize(
 
 
 class _Lane:
-    """One chain lane for one triple: the step of the descending chain, its
-    ``period`` (None if it has none), which makes the step exact, and the
-    largest level evaluated, ``max_e_used``.
+    """One chain lane for one triple: the step of the descending chain, the
+    ``levels`` it sums, whether they make it ``exact``, and the largest level
+    evaluated, ``max_e_used``.  A divisor-only triple keeps as ``cartier`` the
+    least e <= ``MAX_CARTIER_PERIOD`` with p^e - 1 clearing every denominator
+    (None if p divides one or e passes the cap) and steps by that level alone.
 
-    A lane supplies ``unit``, ``period``, ``_summand`` (the level-e summand of
-    a state), ``ascend`` (the level-e test-ideal summand), ``join`` (the sum
-    of summands), ``contains``, ``covers`` (a level holds the state) and
+    A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
+    ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
+    summands), ``contains``, ``covers`` (a level holds the state) and
     ``to_ideal``; both lanes give the same ideals.
     """
 
@@ -262,6 +264,11 @@ class _Lane:
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
+        self.cartier = None
+        if triple.a is None:
+            v, e0 = _period(self.ring.p, denominator_lcm(triple), MAX_CARTIER_PERIOD)
+            self.cartier = e0 if v == 0 else None
+        self.exact = self.cartier is not None
 
     def level(self, state, e: int):
         self.max_e_used = max(self.max_e_used, e)
@@ -271,19 +278,22 @@ class _Lane:
         """The sum of level-e summands for e in [e_lo, e_hi], from ``state``."""
         return self.join(self.level(state, e) for e in range(e_lo, e_hi + 1))
 
-    def top(self, state) -> int:
-        """The last level of the step's sum from ``state``."""
-        return self.opts.e_max
+    def levels(self, state) -> Sequence[int]:
+        """The levels of the step's sum from ``state``."""
+        return (self.cartier,) if self.cartier is not None else range(1, self.opts.e_max + 1)
 
     def step(self, state):
-        return self.tail(state, 1, self.top(state))
+        return self.join(self.level(state, e) for e in self.levels(state))
 
     def chain_step(self, state):
         """``step`` of a chain member, which the monotone step maps inside
         itself: a level that already contains it proves the fixed point, so
-        the first such level ends the sum and the state is returned."""
+        the first such level ends the sum and the state is returned.  The
+        Cartier step is its one memoised level, with no cover check."""
+        if self.cartier is not None:
+            return self.level(state, self.cartier)
         levels = []
-        for e in range(1, self.top(state) + 1):
+        for e in self.levels(state):
             levels.append(self.level(state, e))
             if self.covers(levels[-1], state):
                 return state
@@ -297,14 +307,9 @@ class _PolynomialLane(_Lane):
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = Ideal.unit(self.ring)
-        self.period = cartier_period(triple) if triple.a is None else None
         self._roots: dict = {}
         self._powers: dict = {}
         self._closure: dict[int, MonomialIdeal] = {}
-
-    def chain_step(self, J: Ideal) -> Ideal:
-        """The Cartier step, level ``period`` of J, where a period exists."""
-        return super().chain_step(J) if self.period is None else self.level(J, self.period)
 
     def root(self, J: Ideal, extra: MonomialIdeal | None, exps: list[int], e: int) -> Ideal:
         """(J * extra * prod_i f_i^{exps_i})^{[1/p^e]}, one base-p digit of each
@@ -366,7 +371,7 @@ class _LatticeLane(_Lane):
     floor form, lb_i = g_i // q, r_v = (N*c - (q-1)(|v| - 1) + <v, g>) // q and
     (N*m_i + g_i) // q, from facet products <v, g> kept per generator.
 
-    With a ``period`` e0, the order of p modulo d where den(t) = p^k*d and p
+    With an ``order`` e0, the order of p modulo d where den(t) = p^k*d and p
     does not divide d (None past ``MAX_MONOMIAL_PERIOD``), the step sums
     levels 1..E + e0 - 1 and is exact.  E is the least e >= max(k, 1) with
     q > g_i and q > den(t)*(t*c + c + |v| + <v, g>) for every g and facet.
@@ -379,7 +384,8 @@ class _LatticeLane(_Lane):
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
-        self._k, self.period = _period(self.ring.p, triple.t.denominator, MAX_MONOMIAL_PERIOD)
+        self._k, self.order = _period(self.ring.p, triple.t.denominator, MAX_MONOMIAL_PERIOD)
+        self.exact = self.order is not None
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
         self._dots: dict[Exponent, list[int]] = {}
 
@@ -394,11 +400,11 @@ class _LatticeLane(_Lane):
             self._dots[g] = [sum(map(mul, v, g)) for v, _ in self._hull[0]]
         return self._dots[g]
 
-    def top(self, state: tuple[Exponent, ...]) -> int:
-        """E + period - 1, the exact step's last level, where a period exists;
+    def levels(self, state: tuple[Exponent, ...]) -> Sequence[int]:
+        """1..E + order - 1, the exact step's levels, where an order exists;
         E reads each facet's largest kept <v, g> over ``state``."""
-        if self.period is None:
-            return self.opts.e_max
+        if not self.exact:
+            return super().levels(state)
         num, den = self.triple.t.numerator, self.triple.t.denominator
         dots = map(max, zip(*map(self._dot, state)))
         rows = (num * c + den * (c + sum(v) + d) for (v, c), d in zip(self._hull[0], dots))
@@ -406,7 +412,7 @@ class _LatticeLane(_Lane):
         e = max(self._k, 1)
         while self.ring.p**e <= bound:
             e += 1
-        return e + self.period - 1
+        return range(1, e + self.order)
 
     def _summand(self, state: tuple[Exponent, ...], e: int) -> _Regions:
         """The region keys of level e from ``state``, each with its prefix box."""
@@ -477,7 +483,7 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
         opts.n_max,
         f"chain did not stabilize within {opts.n_max} iterations",
     )
-    proven = state == lane.unit or lane.period is not None
+    proven = state == lane.unit or lane.exact
     # before max_e_used is read: the probe levels count
     probes = range(opts.e_max + 1, opts.e_max + 1 + opts.probe)
     probe_ok = proven or all(lane.contains(state, lane.level(state, e)) for e in probes)
@@ -485,7 +491,9 @@ def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
 
 
 def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
-    """One application of the step to an arbitrary nonzero ideal J."""
+    """One application of the step ``sigma`` iterates to an arbitrary nonzero
+    ideal J: level e0 alone on a Cartier level e0, the lattice lane's exact
+    levels on a monomial J, else the sum of levels 1..e_max."""
     if J.is_zero():
         raise ValueError("the step is defined for nonzero ideals")
     if J.ring != T.ring:
@@ -517,16 +525,6 @@ def denominator_lcm(T: Triple) -> int:
     if T.a is not None:
         dens.append(T.t.denominator)
     return lcm(*dens)
-
-
-def cartier_period(T: Triple) -> int | None:
-    """Least e with (p^e - 1) clearing every coefficient denominator.
-
-    None when p divides one of the reduced denominators (no such e exists)
-    or when the least e exceeds ``MAX_CARTIER_PERIOD``.
-    """
-    v, e0 = _period(T.ring.p, denominator_lcm(T), MAX_CARTIER_PERIOD)
-    return e0 if v == 0 else None
 
 
 def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:

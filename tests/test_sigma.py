@@ -22,7 +22,6 @@ from fsing import (
     RestrictionProblem,
     SigmaOptions,
     Triple,
-    cartier_period,
     check_restriction,
     frobenius_root,
     is_sharply_fpure,
@@ -397,10 +396,10 @@ class TestLatticePeriod:
             t = Fraction(rng.randint(1, 2 * den), den)
             T = Triple(PolyRing(p, ["x", "y", "z"][:n]), a=a, t=t)
             lane = _LatticeLane(T, SigmaOptions())
-            assert lane.period is not None
+            assert lane.order is not None
             state = lane.unit
             for _ in range(SigmaOptions().n_max):
-                new = lane.tail(state, 1, lane.top(state) + 7)
+                new = lane.tail(state, 1, lane.levels(state)[-1] + 7)
                 assert new == lane.step(state), (p, a, t, state)
                 if new == state:
                     break
@@ -436,7 +435,7 @@ class TestLatticePeriod:
             e = max(lane._k, 1)
             while p**e <= bound:
                 e += 1
-            assert lane.top(state) == e + lane.period - 1, (p, a, t, state)
+            assert lane.levels(state) == range(1, e + lane.order), (p, a, t, state)
             assert all(lane._dots[g] == [sum(map(mul, v, g)) for v, _ in facets] for g in state)
         assert fresh >= 100
 
@@ -579,7 +578,7 @@ class TestChainStep:
         for _ in range(120):
             T, opts = self.draw(rng)
             lane = _lane(T, opts)
-            e0 = lane.period
+            e0 = lane.cartier
             if isinstance(lane, _LatticeLane):
                 ref_opts = replace(opts, e_max=self.LATTICE_DEPTH)
             else:
@@ -589,7 +588,7 @@ class TestChainStep:
             except (NonconvergenceError, DegreeGuardError):
                 continue
             result = sigma(T, opts)
-            if e0 is None:
+            if not lane.exact:
                 assert (str(result.ideal), result.iterations, result.probe_stable) == (ideal, n, stable), (T, opts)
                 assert result.e_max_used <= e_max, (T, opts)
             elif isinstance(lane, _LatticeLane):
@@ -611,7 +610,7 @@ class TestChainStep:
         for _ in range(200):
             R = PolyRing(rng.choice((2, 3, 5, 7)), ["x", "y"][: rng.randint(1, 2)])
             T = Triple(R, random_divisor(rng, R))
-            e0 = cartier_period(T)
+            e0 = _lane(T, SigmaOptions()).cartier
             e_max = rng.randint(1, 4)
             if e0 is None:
                 continue
@@ -692,16 +691,17 @@ class TestCartier:
     def test_period_values(self, monkeypatch):
         R5 = PolyRing(5, ["x", "y"])
         f5 = R5.variable(0) ** 3 - R5.variable(1) ** 2
-        assert cartier_period(Triple(R5, QDivisor([(Fraction(5, 6), f5)]))) == 2
-        assert cartier_period(cusp_triple(3)) == 1  # integer coefficients
+        opts = SigmaOptions()
+        assert _lane(Triple(R5, QDivisor([(Fraction(5, 6), f5)])), opts).cartier == 2
+        assert _lane(cusp_triple(3), opts).cartier == 1  # integer coefficients
         # p divides a denominator: no period
-        assert cartier_period(Triple(R5, QDivisor([(Fraction(4, 5), f5)]))) is None
+        assert _lane(Triple(R5, QDivisor([(Fraction(4, 5), f5)])), opts).cartier is None
         # order exceeds the bound: 2 has order 20 mod 25
         R2 = PolyRing(2, ["x", "y"])
         f2 = R2.variable(0) ** 3 - R2.variable(1) ** 2
-        assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)]))) is None
+        assert _lane(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), opts).cartier is None
         monkeypatch.setattr(fsing.nonfpure, "MAX_CARTIER_PERIOD", 25)
-        assert cartier_period(Triple(R2, QDivisor([(Fraction(2, 25), f2)]))) == 20
+        assert _lane(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), opts).cartier == 20
 
     def test_fast_chain_matches_sigma_on_cusp(self):
         # integer coefficients: period 1, so the chain steps by level 1
@@ -721,7 +721,7 @@ class TestCartier:
             p = rng.choice([2, 3, 5, 7])
             R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
             T = Triple(R, random_divisor(rng, R))
-            e0 = cartier_period(T)
+            e0 = _lane(T, SigmaOptions()).cartier
             if e0 is None:
                 continue
             ideal, n, stable, _ = TestChainStep.reference(T, SigmaOptions(e_max=max(4, 2 * e0), probe=max(2, e0)))
@@ -740,14 +740,16 @@ class TestCartier:
             p = rng.choice([2, 3, 5, 7])
             R = PolyRing(p, ["x", "y"][: rng.randint(1, 2)])
             T = Triple(R, random_divisor(rng, R))
-            e0 = cartier_period(T)
+            lane = _lane(T, SigmaOptions())
+            e0 = lane.cartier
             if e0 is None:
                 continue
-            lane = _lane(T, SigmaOptions())
             member = lane.level(lane.unit, e0)
             for l in (1, 2):
                 after = lane.level(lane.unit, (l + 1) * e0)
                 assert after == lane.level(member, e0), (T, l)
+                # sigma_step applies the same Cartier step on any ideal
+                assert sigma_step(member, T) == lane.level(member, e0), (T, l)
                 member = after
             checked += 1
         assert checked >= 100
@@ -810,6 +812,8 @@ class TestOneVariableOracle:
         T = self.triple(3, entries)
         result = sigma(T, opts)
         assert (result.ideal, result.probe_stable) == (Ideal(T.ring, [T.ring.variable(0) ** m]), True)
+        # the one step sigma iterates leaves its exact value fixed
+        assert sigma_step(result.ideal, T, opts) == result.ideal
         assert self.oracle(3, entries)[0] == m
         assert TestChainStep.reference(T, opts) == full_sums
 
@@ -896,8 +900,8 @@ class TestTau:
                     d = rng.choice(dens)
                     entries.append((Fraction(rng.randint(1, 2 * d), d), f))
             T = Triple(R, QDivisor(entries))
-            e0 = cartier_period(T)
             lane = _lane(T, SigmaOptions())
+            e0 = lane.cartier
             for e in (0, 1, 2):
                 summand = lane.ascend(e + e0)
                 assert summand == lane.level(lane.ascend(e), e0), (T, e)
