@@ -4,7 +4,8 @@ Input grammar (whitespace between tokens is free; juxtaposition is not
 multiplication, write the '*'):
 
     variable   [a-z][a-z0-9_]*
-    polynomial expr   := ['-'] term (('+'|'-') term)*
+    polynomial expr   := sterm (('+'|'-') sterm)*
+               sterm  := ('+'|'-')* term
                term   := factor ('*' factor)*
                factor := atom ['^' integer]
                atom   := integer | variable | '(' expr ')'

@@ -78,22 +78,12 @@ _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
 
 MAX_CARTIER_PERIOD = 12
-MAX_MONOMIAL_PERIOD = 1024
+MAX_PERIOD = 1024
 
 
 def _ceil_mul(t: Fraction, m: int) -> int:
     """ceil(t * m) for t >= 0, m >= 0."""
     return ceil_div(t.numerator * m, t.denominator)
-
-
-def _period(p: int, den: int, bound: int) -> tuple[int, int | None]:
-    """(v, e0): p^v exactly divides ``den``, and e0 is the least e in [1, bound]
-    with p^e = 1 mod den/p^v, or None; k*p^e/den mod 1 has period e0 from e = v."""
-    v = 0
-    while den % p == 0:
-        den //= p
-        v += 1
-    return v, next((e for e in range(1, bound + 1) if pow(p, e, den) == 1 % den), None)
 
 
 @dataclass(frozen=True)
@@ -249,9 +239,14 @@ def _stabilize(
 class _Lane:
     """One chain lane for one triple: the step of the descending chain, the
     ``levels`` it sums, whether they make it ``exact``, and the largest level
-    evaluated, ``max_e_used``.  A divisor-only triple keeps as ``cartier`` the
-    least e <= ``MAX_CARTIER_PERIOD`` with p^e - 1 clearing every denominator
-    (None if p divides one or e passes the cap) and steps by that level alone.
+    evaluated, ``max_e_used``.
+
+    The lane runs the triple's one period search: p^v exactly divides
+    ``denominator_lcm``, and ``order`` is the least e <= ``MAX_PERIOD`` with
+    p^e = 1 modulo the rest, or None; k*p^e/den mod 1 has period ``order``
+    from e = v.  A divisor-only triple with v = 0 and an order at most
+    ``MAX_CARTIER_PERIOD`` keeps it as ``cartier`` and steps by that level
+    alone; the lattice lane and ``tau_b``'s window read (v, order) too.
 
     A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
     ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
@@ -264,10 +259,13 @@ class _Lane:
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
-        self.cartier = None
-        if triple.a is None:
-            v, e0 = _period(self.ring.p, denominator_lcm(triple), MAX_CARTIER_PERIOD)
-            self.cartier = e0 if v == 0 else None
+        p, den, self.v = self.ring.p, denominator_lcm(triple), 0
+        while den % p == 0:
+            den //= p
+            self.v += 1
+        self.order = next((e for e in range(1, MAX_PERIOD + 1) if pow(p, e, den) == 1 % den), None)
+        short = self.order is not None and self.order <= MAX_CARTIER_PERIOD
+        self.cartier = self.order if short and triple.a is None and self.v == 0 else None
         self.exact = self.cartier is not None
 
     def level(self, state, e: int):
@@ -371,20 +369,19 @@ class _LatticeLane(_Lane):
     floor form, lb_i = g_i // q, r_v = (N*c - (q-1)(|v| - 1) + <v, g>) // q and
     (N*m_i + g_i) // q, from facet products <v, g> kept per generator.
 
-    With an ``order`` e0, the order of p modulo d where den(t) = p^k*d and p
-    does not divide d (None past ``MAX_MONOMIAL_PERIOD``), the step sums
-    levels 1..E + e0 - 1 and is exact.  E is the least e >= max(k, 1) with
+    With an ``order`` e0, the order of p modulo d where den(t) = p^v*d and p
+    does not divide d (None past ``MAX_PERIOD``), the step sums levels
+    1..E + e0 - 1 and is exact.  E is the least e >= max(v, 1) with
     q > g_i and q > den(t)*(t*c + c + |v| + <v, g>) for every g and facet.
     Then lb = 0 and r_v = ceil(A + B/q), with A = t*c - |v| in (1/den(t))Z
     and B = d_e*c - A + <v, g>, d_e = N - t(q-1) in [0, 1), so |B| is below
     q/den(t) and r_v is ceil(A), or A + [B > 0] for integral A: it moves
-    with e only through d_e, of period e0 from e = k on.
+    with e only through d_e, of period e0 from e = v on.
     """
 
     def __init__(self, triple: Triple, opts: SigmaOptions):
         super().__init__(triple, opts)
         self.unit = ((0,) * self.ring.nvars,)
-        self._k, self.order = _period(self.ring.p, triple.t.denominator, MAX_MONOMIAL_PERIOD)
         self.exact = self.order is not None
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
         self._dots: dict[Exponent, list[int]] = {}
@@ -409,7 +406,7 @@ class _LatticeLane(_Lane):
         dots = map(max, zip(*map(self._dot, state)))
         rows = (num * c + den * (c + sum(v) + d) for (v, c), d in zip(self._hull[0], dots))
         bound = max(chain(*state, rows))
-        e = max(self._k, 1)
+        e = max(self.v, 1)
         while self.ring.p**e <= bound:
             e += 1
         return range(1, e + self.order)
@@ -544,22 +541,22 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     with the power of a folded in before the first digit.
 
     Stabilization is declared after a window of max(2, v + e0) no-growth
-    levels, (v, e0) the ``_period`` of the denominators: the exponents
+    levels, (v, e0) the lane's ``v`` and ``order``: the exponents
     ceil(t p^e) settle into a cycle of period e0 once e >= v, and plateaus
     inside that transient are routine (an exponent just under a threshold
     stays flat for ~log_p(den) levels before jumping).  For a divisor-only
     triple with p not dividing den the window is a proof: ceil(t p^(e+e0))
     = t p^e (p^e0 - 1) + ceil(t p^e), so by (I^[q] K)^[1/q] = I K^[1/q]
     summand e + e0 is the level-e0 summand of summand e, and e0 levels
-    without growth repeat forever.  Elsewhere it is evidence.  The period is
-    searched up to n_max only: a longer one gives a window no run of n_max
-    levels meets, so the window is then n_max + 1 and only the unit ideal
-    ends the sum.
+    without growth repeat forever.  Elsewhere it is evidence.  An order past
+    n_max gives a window no run of n_max levels meets, and one past
+    ``MAX_PERIOD`` is not found, so either way the window is n_max + 1 and
+    only the unit ideal ends the sum.
     """
     opts = opts or SigmaOptions()
-    v, order = _period(T.ring.p, denominator_lcm(T), opts.n_max)
-    window = max(2, v + order) if order is not None else opts.n_max + 1
     lane = _lane(T, opts)
+    order = lane.order or opts.n_max + 1
+    window = max(2, lane.v + order) if order <= opts.n_max else opts.n_max + 1
     # no summand is the zero ideal, so the first one counts as growth from None
     total, _ = _stabilize(
         lambda _, e: lane.ascend(e),
@@ -610,8 +607,9 @@ def verify_monomial_theorem(
     Newton membership ideal {x^v : v + 1 in t*P(a)}.
 
     Requires gcd(p, den(t)) = 1.  The chain runs on the lattice lane, whose
-    step is exact where the order of p modulo den(t) is at most
-    ``MAX_MONOMIAL_PERIOD``; a longer order takes the level sums of ``opts``.
+    step is exact where the lane's order of p modulo den(t) is at most
+    ``MAX_PERIOD``; a longer order is not searched for, and the level sums
+    of ``opts`` are taken instead.
 
     Monomial ideals are equal iff their minimal antichains are, and the lane's
     ``to_ideal`` gives one monic monomial per antichain element, so ``equal``

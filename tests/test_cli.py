@@ -46,6 +46,7 @@ class TestPolynomialParsing:
         assert parse_polynomial("x^3 - y^2", R) == x**3 - y**2
         assert parse_polynomial("x*y + 2", R) == x * y + 2
         assert parse_polynomial("-x + -2*y", R) == -x + (-2) * y
+        assert parse_polynomial("+x - -y", R) == x + y
         assert parse_polynomial("(x + y)^2", R) == (x + y) ** 2
         assert parse_polynomial("2*(x + y) - x", R) == x + 2 * y
         assert parse_polynomial("7", R) == R.constant(2)
@@ -255,6 +256,11 @@ class TestCommands:
         assert code == 1
         assert "error" in err
 
+    def test_empty_ideal_list_rejected(self, capsys):
+        code, out, err = invoke(capsys, "sigma", "--prime", "5", "--vars", "x", "--ideal", "[]")
+        assert (code, out) == (1, "")
+        assert "the monomial ideal must be nonzero (line 1, column 1)" in err
+
 
 class TestExitCodes:
     def test_bad_prime(self, capsys):
@@ -344,7 +350,7 @@ class TestExitCodes:
         assert "frobenius.MAX_DIGIT_VECTORS = 50000" in err
 
     def test_monomial_long_period_ends(self, capsys):
-        # ord(2 mod 1000003) = 1000002 passes nonfpure.MAX_MONOMIAL_PERIOD, so
+        # ord(2 mod 1000003) = 1000002 passes nonfpure.MAX_PERIOD, so
         # the lattice lane has no period and sums levels 1..e_max; a level
         # budget of twice that order once ran forever, and then exited 2
         start = time.perf_counter()
@@ -356,13 +362,16 @@ class TestExitCodes:
         assert (code, out.splitlines()[0]) == (0, "sigma = (1)")
 
     def test_fregular_long_period_ends(self, capsys):
-        # ord(2 mod 1000000007) is searched up to --nmax only; the search up
-        # to the modulus used to run before the first level.  Level 1 is the
-        # unit ideal, which ends the sum.
-        start = time.perf_counter()
-        code, out, _ = invoke(capsys, "fregular", "--prime", "2", "--vars", "x", "--divisor", "1/1000000007*(x)")
-        assert time.perf_counter() - start < 5.0
-        assert (code, out) == (0, "strongly F-regular: yes\n")
+        # ord(2 mod 1000000007) is searched up to nonfpure.MAX_PERIOD only,
+        # once per triple, whatever --nmax is; the search up to the modulus,
+        # and later up to --nmax, used to run before the first level.  Level 1
+        # is the unit ideal, which ends the sum.
+        argv = ("fregular", "--prime", "2", "--vars", "x", "--divisor", "1/1000000007*(x)")
+        for nmax in ((), ("--nmax", "10000000")):
+            start = time.perf_counter()
+            code, out, _ = invoke(capsys, *argv, *nmax)
+            assert time.perf_counter() - start < 5.0, nmax
+            assert (code, out) == (0, "strongly F-regular: yes\n"), nmax
 
     def test_unit_mixed_row_skips_the_probe(self, capsys):
         # level 1 of the p = 11 mixed row is already R, which ends the step;

@@ -432,7 +432,7 @@ class TestLatticePeriod:
             tn, td = t.numerator, t.denominator
             rows = (tn * c + td * (c + sum(v) + sum(map(mul, v, g))) for g in state for v, c in facets)
             bound = max(chain(*state, rows))
-            e = max(lane._k, 1)
+            e = max(lane.v, 1)
             while p**e <= bound:
                 e += 1
             assert lane.levels(state) == range(1, e + lane.order), (p, a, t, state)
@@ -700,8 +700,29 @@ class TestCartier:
         R2 = PolyRing(2, ["x", "y"])
         f2 = R2.variable(0) ** 3 - R2.variable(1) ** 2
         assert _lane(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), opts).cartier is None
+        # the lane keeps that order from its one search, which a lattice lane
+        # reads too: 12 = 2^2 * 3, and 2 has order 2 mod 3
+        lane = _lane(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), opts)
+        assert (lane.v, lane.order, lane.cartier) == (0, 20, None)
+        lane = _lane(Triple(R2, a=MonomialIdeal(2, [(2, 0), (0, 3)]), t=Fraction(5, 12)), opts)
+        assert (type(lane), lane.v, lane.order, lane.cartier) == (_LatticeLane, 2, 2, None)
         monkeypatch.setattr(fsing.nonfpure, "MAX_CARTIER_PERIOD", 25)
         assert _lane(Triple(R2, QDivisor([(Fraction(2, 25), f2)])), opts).cartier == 20
+
+    def test_truncation_past_the_cap_is_a_lower_bound(self, monkeypatch):
+        # 2 has order 1018 mod 1019, past MAX_CARTIER_PERIOD: the level sums
+        # give m*(f), flagged by the probe, inside the exact value (f) that
+        # the Cartier step by level 1018 reaches once the cap allows it
+        R = PolyRing(2, ["x", "y"])
+        T = Triple(R, QDivisor([(Fraction(1500, 1019), R.variable(0) ** 3 - R.variable(1) ** 2)]))
+        truncated = sigma(T)
+        assert (str(truncated.ideal), truncated.probe_stable) == ("(x^4 + x*y^2, x^3*y + y^3)", False)
+        monkeypatch.setattr(fsing.nonfpure, "MAX_CARTIER_PERIOD", 1018)
+        start = time.perf_counter()
+        exact = sigma(T)
+        assert time.perf_counter() - start < 5.0
+        assert (str(exact.ideal), exact.iterations, exact.e_max_used, exact.probe_stable) == ("(x^3 + y^2)", 1, 1018, True)
+        assert exact.ideal.contains_ideal(truncated.ideal)
 
     def test_fast_chain_matches_sigma_on_cusp(self):
         # integer coefficients: period 1, so the chain steps by level 1
@@ -1045,7 +1066,7 @@ class TestMonomialTheorem:
     def test_equal_matches_groebner_comparison(self):
         # ``equal`` compares exponent antichains; the reduced Groebner bases
         # of both ideals must say the same.  A denominator 1000003, whose
-        # order of 2 passes MAX_MONOMIAL_PERIOD, truncates the level sums at
+        # order of 2 passes MAX_PERIOD, truncates the level sums at
         # a small e_max, so some draws are unequal.
         rng = random.Random(2020)
         verdicts = {True: 0, False: 0}
@@ -1061,7 +1082,7 @@ class TestMonomialTheorem:
         assert verdicts[True] >= 100 and verdicts[False] >= 5, verdicts
 
     def test_truncated_pair_is_unequal(self):
-        # the order of 2 modulo 1000003 passes MAX_MONOMIAL_PERIOD, so one
+        # the order of 2 modulo 1000003 passes MAX_PERIOD, so one
         # level is summed: sigma = (x^5) against the Newton ideal (x^3)
         a = MonomialIdeal(1, [(3,)])
         report = verify_monomial_theorem(a, Fraction(1134505, 1000003), 2, opts=SigmaOptions(e_max=1, probe=0))
