@@ -28,13 +28,18 @@ the truncated limit sits inside the true ideal; the probe (the final step
 at a few larger e) checks that nothing visible was lost.  A chain member
 J has step(J) inside J, so the first level containing J ends the final step.
 
-Each level is evaluated by one of two lanes, chosen once per triple; a
-lane owns its caches, the levels of its step, the step and the tail sums:
+Each level is evaluated by one of three lanes, the first of ``_LANES``
+that serves the triple, chosen once per triple; a lane owns its caches, the
+levels of its step, the step and the tail sums:
 
-* the polynomial lane holds ideals of R and takes every root one base-p
-  digit of the f_i exponents at a time (``root_of_product``, called from
-  ``_PolynomialLane.root`` only), so f_i^N is never expanded; the
-  test-ideal sum of a triple with a divisor takes its levels from it too;
+* the binomial lane serves a divisor c*div(f) alone, with f = c1*x^A +
+  c2*x^B, c <= 1, some A_j - B_j prime to p and a Cartier level.  By Lucas'
+  theorem the terms of f^N are x^{BN + (A - B)i} for the i whose base-p
+  digits are each at most N's, all with nonzero coefficients, and for
+  N < p^e they lie in distinct classes mod p^e; so the root of x^g f^N is
+  the monomial ideal of their floors, and the chain stays on exponent
+  antichains with no product, root or Groebner basis.  Its ascending
+  summands need ceil(c p) < p, so that every ceil(c p^e) < p^e;
 * the lattice lane serves triples whose divisor list is empty: they never
   leave the lattice of monomial ideals, held as exponent antichains, and a
   monomial x^w enters the e-th root iff p^e*w + (p^e - 1)*1 - g lies in
@@ -42,7 +47,11 @@ lane owns its caches, the levels of its step, the step and the tail sums:
   up-closed exponent sets).  That is a region cut out by integer rows
   against the facets of P(a); a level is a set of region keys, which recur
   across generators and levels, and each minimal key is walked once per
-  triple by ``newton._lattice_walk``, so no closure power is materialized.
+  triple by ``newton._lattice_walk``, so no closure power is materialized;
+* the polynomial lane serves every other triple: it holds ideals of R and
+  takes every root one base-p digit of the f_i exponents at a time
+  (``root_of_product``, called from ``_PolynomialLane.root`` only), so
+  f_i^N is never expanded.
 
 A lane also supplies the ascending test-ideal summands (``ascend``); the
 lattice lane keeps them on exponent antichains, with no Newton hull: level
@@ -65,7 +74,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from operator import ge, mul
+from operator import ge, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NonconvergenceError
@@ -76,6 +85,7 @@ from .ring import Exponent, Polynomial, PolyRing, ceil_div, exponent_antichain, 
 
 _State = TypeVar("_State")
 _Regions = dict[tuple[int, ...], list[int]]  # lattice-lane region key (lb + r) -> prefix box
+_Period = tuple[int, int | None, int | None]  # (v, order, cartier), see ``_period``
 
 MAX_CARTIER_PERIOD = 12
 MAX_PERIOD = 1024
@@ -236,36 +246,42 @@ def _stabilize(
     raise NonconvergenceError(failure)
 
 
+def _period(T: Triple) -> _Period:
+    """The triple's one period search, (v, order, cartier): p^v exactly
+    divides ``denominator_lcm``, ``order`` is the least e <= ``MAX_PERIOD``
+    with p^e = 1 modulo the rest, or None, and k*p^e/den mod 1 has period
+    ``order`` from e = v.  A divisor-only triple with v = 0 and an order at
+    most ``MAX_CARTIER_PERIOD`` keeps it as ``cartier``, its Cartier level."""
+    p, den, v = T.ring.p, denominator_lcm(T), 0
+    while den % p == 0:
+        den //= p
+        v += 1
+    order = next((e for e in range(1, MAX_PERIOD + 1) if pow(p, e, den) == 1 % den), None)
+    short = order is not None and order <= MAX_CARTIER_PERIOD
+    return v, order, order if short and T.a is None and v == 0 else None
+
+
 class _Lane:
     """One chain lane for one triple: the step of the descending chain, the
     ``levels`` it sums, whether they make it ``exact``, and the largest level
     evaluated, ``max_e_used``.
 
-    The lane runs the triple's one period search: p^v exactly divides
-    ``denominator_lcm``, and ``order`` is the least e <= ``MAX_PERIOD`` with
-    p^e = 1 modulo the rest, or None; k*p^e/den mod 1 has period ``order``
-    from e = v.  A divisor-only triple with v = 0 and an order at most
-    ``MAX_CARTIER_PERIOD`` keeps it as ``cartier`` and steps by that level
-    alone; the lattice lane and ``tau_b``'s window read (v, order) too.
+    The lane keeps the triple's ``_period``, given or searched once: ``v``,
+    ``order`` and ``cartier``.  A triple with a Cartier level steps by that
+    level alone; the lattice lane and ``tau_b``'s window read (v, order) too.
 
     A lane supplies ``unit``, ``_summand`` (the level-e summand of a state),
     ``ascend`` (the level-e test-ideal summand), ``join`` (the sum of
-    summands), ``contains``, ``covers`` (a level holds the state) and
-    ``to_ideal``; both lanes give the same ideals.
+    summands), ``contains``, ``covers`` (a level holds the state),
+    ``from_ideal`` and ``to_ideal``; every lane gives the same ideals.
     """
 
-    def __init__(self, triple: Triple, opts: SigmaOptions):
+    def __init__(self, triple: Triple, opts: SigmaOptions, period: _Period | None = None):
         self.triple = triple
         self.ring = triple.ring
         self.opts = opts
         self.max_e_used = 0
-        p, den, self.v = self.ring.p, denominator_lcm(triple), 0
-        while den % p == 0:
-            den //= p
-            self.v += 1
-        self.order = next((e for e in range(1, MAX_PERIOD + 1) if pow(p, e, den) == 1 % den), None)
-        short = self.order is not None and self.order <= MAX_CARTIER_PERIOD
-        self.cartier = self.order if short and triple.a is None and self.v == 0 else None
+        self.v, self.order, self.cartier = period or _period(triple)
         self.exact = self.cartier is not None
 
     def level(self, state, e: int):
@@ -302,8 +318,8 @@ class _PolynomialLane(_Lane):
     """States are ideals of R; every level is a digit-by-digit Frobenius root,
     on digit prefixes and products prod f_i^{k_i} that the lane owns."""
 
-    def __init__(self, triple: Triple, opts: SigmaOptions):
-        super().__init__(triple, opts)
+    def __init__(self, triple: Triple, opts: SigmaOptions, period=None):
+        super().__init__(triple, opts, period)
         self.unit = Ideal.unit(self.ring)
         self._roots: dict = {}
         self._powers: dict = {}
@@ -353,8 +369,39 @@ class _PolynomialLane(_Lane):
     def to_ideal(J: Ideal) -> Ideal:
         return J
 
+    from_ideal = to_ideal
 
-class _LatticeLane(_Lane):
+
+class _AntichainLane(_Lane):
+    """States are the exponent antichains of monomial ideals; levels are
+    antichains too, unless a lane keeps them in another form."""
+
+    def __init__(self, triple: Triple, opts: SigmaOptions, period=None):
+        super().__init__(triple, opts, period)
+        self.unit = ((0,) * self.ring.nvars,)
+
+    @staticmethod
+    def from_ideal(J: Ideal) -> tuple[Exponent, ...]:
+        """The state of J, an ideal with monomial generators."""
+        return exponent_antichain(g.leading_exponent() for g in J.generators)
+
+    def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
+        return MonomialIdeal._of(self.ring.nvars, state).to_ideal(self.ring)
+
+    @staticmethod
+    def join(levels: Iterable[tuple[Exponent, ...]]) -> tuple[Exponent, ...]:
+        return exponent_antichain(chain.from_iterable(levels))
+
+    @staticmethod
+    def contains(state: tuple[Exponent, ...], level: tuple[Exponent, ...]) -> bool:
+        return not exponents_outside(state, level)
+
+    @staticmethod
+    def covers(level: tuple[Exponent, ...], state: tuple[Exponent, ...]) -> bool:
+        return not exponents_outside(level, state)
+
+
+class _LatticeLane(_AntichainLane):
     """States are exponent antichains of monomial ideals, for divisor-free
     triples; a level is a set of regions, each walked once per lane.
 
@@ -367,7 +414,8 @@ class _LatticeLane(_Lane):
     of the first g that produced it: u_i <= max(lb_i, ceil((N*m_i - q + 1 + g_i)/q)),
     m_i the largest i-th exponent in a.  The lane takes the same integers in
     floor form, lb_i = g_i // q, r_v = (N*c - (q-1)(|v| - 1) + <v, g>) // q and
-    (N*m_i + g_i) // q, from facet products <v, g> kept per generator.
+    (N*m_i + g_i) // q, from rows (*g, *<v, g>) kept per generator and
+    offsets and caps kept per level.
 
     With an ``order`` e0, the order of p modulo d where den(t) = p^v*d and p
     does not divide d (None past ``MAX_PERIOD``), the step sums levels
@@ -379,12 +427,12 @@ class _LatticeLane(_Lane):
     with e only through d_e, of period e0 from e = v on.
     """
 
-    def __init__(self, triple: Triple, opts: SigmaOptions):
-        super().__init__(triple, opts)
-        self.unit = ((0,) * self.ring.nvars,)
+    def __init__(self, triple: Triple, opts: SigmaOptions, period=None):
+        super().__init__(triple, opts, period)
         self.exact = self.order is not None
         self._walks: dict[tuple[int, ...], list[Exponent]] = {}
-        self._dots: dict[Exponent, list[int]] = {}
+        self._rows: dict[Exponent, tuple[tuple[int, ...], int]] = {}
+        self._level_rows: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
 
     @cached_property
     def _hull(self) -> tuple[tuple[tuple[Exponent, int], ...], list[int]]:
@@ -392,36 +440,44 @@ class _LatticeLane(_Lane):
         hull = newton_hull(self.triple.a)
         return hull.facets, [hull.coordinate_maximum(i) for i in range(self.ring.nvars - 1)]
 
-    def _dot(self, g: Exponent) -> list[int]:
-        if g not in self._dots:
-            self._dots[g] = [sum(map(mul, v, g)) for v, _ in self._hull[0]]
-        return self._dots[g]
+    def _row(self, g: Exponent) -> tuple[tuple[int, ...], int]:
+        """g's row (*g, *<v, g>) over the facets (v, c) of P(a), kept per
+        generator, and its bound for E: the largest g_i and den(t)*(t*c + c +
+        |v| + <v, g>)."""
+        if g not in self._rows:
+            facets, num, den = self._hull[0], self.triple.t.numerator, self.triple.t.denominator
+            dots = [sum(map(mul, v, g)) for v, _ in facets]
+            bounds = (num * c + den * (c + sum(v) + d) for (v, c), d in zip(facets, dots))
+            self._rows[g] = (*g, *dots), max(chain(g, bounds))
+        return self._rows[g]
 
     def levels(self, state: tuple[Exponent, ...]) -> Sequence[int]:
         """1..E + order - 1, the exact step's levels, where an order exists;
-        E reads each facet's largest kept <v, g> over ``state``."""
+        E reads the kept bound of each generator of ``state``."""
         if not self.exact:
             return super().levels(state)
-        num, den = self.triple.t.numerator, self.triple.t.denominator
-        dots = map(max, zip(*map(self._dot, state)))
-        rows = (num * c + den * (c + sum(v) + d) for (v, c), d in zip(self._hull[0], dots))
-        bound = max(chain(*state, rows))
+        bound = max(self._row(g)[1] for g in state)
         e = max(self.v, 1)
         while self.ring.p**e <= bound:
             e += 1
         return range(1, e + self.order)
 
     def _summand(self, state: tuple[Exponent, ...], e: int) -> _Regions:
-        """The region keys of level e from ``state``, each with its prefix box."""
-        q = self.ring.p**e
-        N = _ceil_mul(self.triple.t, q - 1)
-        facets, prefix_max = self._hull
-        tops = [N * c - (q - 1) * (sum(v) - 1) for v, c in facets]
+        """The region keys of level e from ``state``, each with its prefix box,
+        from the level's (q, offsets, caps), kept per level: a key is
+        (row + offset) // q and a box (cap + g_i) // q."""
+        if e not in self._level_rows:
+            q = self.ring.p**e
+            N = _ceil_mul(self.triple.t, q - 1)
+            facets, prefix_max = self._hull
+            tops = (N * c - (q - 1) * (sum(v) - 1) for v, c in facets)
+            self._level_rows[e] = q, ((0,) * self.ring.nvars + tuple(tops)), [N * m for m in prefix_max]
+        q, offsets, caps = self._level_rows[e]
         regions: _Regions = {}
         for g in state:
-            key = (*(gi // q for gi in g), *((top + d) // q for top, d in zip(tops, self._dot(g))))
+            key = tuple([(x + off) // q for x, off in zip(self._row(g)[0], offsets)])
             if key not in regions:
-                regions[key] = [(N * m + gi) // q for m, gi in zip(prefix_max, g)]
+                regions[key] = [(cap + gi) // q for cap, gi in zip(caps, g)]
         return regions
 
     def ascend(self, e: int) -> tuple[Exponent, ...]:
@@ -450,15 +506,103 @@ class _LatticeLane(_Lane):
 
     def covers(self, level: _Regions, state: tuple[Exponent, ...]) -> bool:
         """Whether each g of ``state`` lies in a region of ``level``, a level of
-        ``state`` (so <v, g> is kept): g >= lb and <v, g> >= r_v, with no walk."""
-        return all(any(all(map(ge, (*g, *self._dots[g]), key)) for key in level) for g in state)
-
-    def to_ideal(self, state: tuple[Exponent, ...]) -> Ideal:
-        return MonomialIdeal._of(self.ring.nvars, state).to_ideal(self.ring)
+        ``state`` (so its row is kept): g >= lb and <v, g> >= r_v, with no walk."""
+        return all(any(all(map(ge, self._rows[g][0], key)) for key in level) for g in state)
 
 
-def _lane(T: Triple, opts: SigmaOptions) -> _Lane:
-    return (_LatticeLane if not T.divisor and T.a is not None else _PolynomialLane)(T, opts)
+def _lucas_floor(h: int, digits: Sequence[int], p: int) -> int:
+    """The largest i <= h whose base-p digits are each at most those of N
+    (``digits``, lowest first; 0 <= h <= N): by Lucas, the largest i <= h
+    with C(N, i) nonzero mod p.  That is h's digits down to the first one
+    above N's, then N's; read from the lowest digit up, each digit of h above
+    N's resets every digit so far to N's."""
+    i = low = 0
+    unit = 1
+    for d in digits:
+        low += d * unit
+        h_digit = h // unit % p
+        i = low if h_digit > d else i + h_digit * unit
+        unit *= p
+    return i
+
+
+class _BinomialLane(_AntichainLane):
+    """States are exponent antichains, for a triple c*div(f) alone, with
+    f = c1*x^A + c2*x^B, c <= 1, some delta_j = A_j - B_j prime to p and a
+    Cartier level (``_binomial``).
+
+    By Lucas, f^N is a sum of nonzero multiples of x^{BN + delta*i} over the
+    i whose base-p digits are each at most N's.  For N < q = p^e those
+    exponents lie in distinct classes mod q, so (x^g f^N)^{[1/q]} is the
+    monomial ideal of the floors (g + BN + delta*i) // q.  Between
+    consecutive breakpoints of the floors with delta_j > 0, those floors stay
+    put and the floors with delta_j < 0 only fall as i grows, so below each
+    breakpoint the largest such i (``_lucas_floor``) gives the minimal floors.
+    """
+
+    def __init__(self, triple: Triple, opts: SigmaOptions, period=None):
+        super().__init__(triple, opts, period)
+        ((self.c, f),) = triple.divisor
+        (A, _), (self.B, _) = f
+        self.delta = tuple(map(sub, A, self.B))
+        self._level_rows: dict[tuple[int, bool], tuple[int, int, list[int]]] = {}
+
+    def _summand(self, state: tuple[Exponent, ...], e: int, ascending: bool = False) -> tuple[Exponent, ...]:
+        """The antichain of the roots (x^g f^N)^{[1/q]}, g in ``state``, with
+        N = ceil(c(q - 1)) for the chain and ceil(c q) for ``ascend``, from
+        the level's (q, N, digits of N), kept per level; N < q either way."""
+        p = self.ring.p
+        if (e, ascending) not in self._level_rows:
+            q = p**e
+            N = _ceil_mul(self.c, q - 1 + ascending)
+            self._level_rows[e, ascending] = q, N, [N // p**k % p for k in range(e)]
+        q, N, digits = self._level_rows[e, ascending]
+        floors = []
+        for g in state:
+            s = [gj + bj * N for gj, bj in zip(g, self.B)]
+            ends = {N}
+            for sj, dj in zip(s, self.delta):
+                if dj > 0:
+                    ends.update((m * q - sj - 1) // dj for m in range(sj // q + 1, (sj + dj * N) // q + 1))
+            for h in ends:
+                i = _lucas_floor(h, digits, p)
+                floors.append(tuple((sj + dj * i) // q for sj, dj in zip(s, self.delta)))
+        return exponent_antichain(floors)
+
+    def ascend(self, e: int) -> tuple[Exponent, ...]:
+        """(f^{ceil(c p^e)})^{[1/p^e]}, for e >= 1 and ceil(c p) < p."""
+        return self._summand(self.unit, e, True)
+
+
+def _binomial(T: Triple, period: _Period, ascending: bool) -> bool:
+    """Whether ``_BinomialLane`` serves the triple: a Cartier level (so no a)
+    and one entry c*div(f), f with two terms, c <= 1 and some delta_j prime
+    to p; for the ascending summands also ceil(c p) < p, so ceil(c p^e) < p^e."""
+    _, _, cartier = period
+    if cartier is None or len(T.divisor.entries) != 1:
+        return False
+    ((c, f),) = T.divisor
+    p = T.ring.p
+    if len(f.terms) != 2 or c > 1 or (ascending and _ceil_mul(c, p) >= p):
+        return False
+    A, B = f.terms
+    return any((a - b) % p for a, b in zip(A, B))
+
+
+# first match: (test of the triple, its period and the direction, lane)
+_LANES = (
+    (_binomial, _BinomialLane),
+    (lambda T, period, ascending: not T.divisor and T.a is not None, _LatticeLane),
+    (lambda T, period, ascending: True, _PolynomialLane),
+)
+
+
+def _lane(T: Triple, opts: SigmaOptions, ascending: bool = False) -> _Lane:
+    """The first lane of ``_LANES`` whose test holds, for the descending chain
+    or for ``ascend``'s test-ideal summands; the one period search runs
+    before the tests, so no lane is built that is not used."""
+    period = _period(T)
+    return next(lane for test, lane in _LANES if test(T, period, ascending))(T, opts, period)
 
 
 def sigma(T: Triple, opts: SigmaOptions | None = None) -> SigmaResult:
@@ -497,9 +641,7 @@ def sigma_step(J: Ideal, T: Triple, opts: SigmaOptions | None = None) -> Ideal:
         raise ValueError("ideal and triple live in different rings")
     opts = opts or SigmaOptions()
     lane = _lane(T, opts) if all(g.is_monomial() for g in J.generators) else _PolynomialLane(T, opts)
-    if isinstance(lane, _LatticeLane):
-        J = exponent_antichain(g.leading_exponent() for g in J.generators)
-    return lane.to_ideal(lane.step(J))
+    return lane.to_ideal(lane.step(lane.from_ideal(J)))
 
 
 def sigma_prime_n(T: Triple, n: int, opts: SigmaOptions | None = None) -> Ideal:
@@ -533,10 +675,12 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     the sum over levels 1..e is the e-th summand and no sum is formed; the
     loop short-circuits on reaching the unit ideal, and exhausting n_max
     first raises instead of returning a too-small ideal.  Each summand is
-    ``ascend`` of the lane ``_lane`` picks.  Divisor-free triples stay on
-    exponent antichains: the lattice lane takes the root one base-p digit of
-    the exponent at a time (``monomial_power_root``), so a^{ceil(t p^e)} is
-    never expanded, and the value becomes an Ideal once at the end.
+    ``ascend`` of the lane ``_lane`` picks for this direction.  Divisor-free
+    triples stay on exponent antichains: the lattice lane takes the root one
+    base-p digit of the exponent at a time (``monomial_power_root``), so
+    a^{ceil(t p^e)} is never expanded, and the value becomes an Ideal once
+    at the end.  So do binomial triples of the binomial lane's scope with
+    ceil(c p) < p, through the floors of the terms of f^{ceil(c p^e)}.
     Otherwise the polynomial lane goes digit by digit in the f_i exponents,
     with the power of a folded in before the first digit.
 
@@ -554,7 +698,7 @@ def tau_b(T: Triple, opts: SigmaOptions | None = None) -> Ideal:
     only the unit ideal ends the sum.
     """
     opts = opts or SigmaOptions()
-    lane = _lane(T, opts)
+    lane = _lane(T, opts, ascending=True)
     order = lane.order or opts.n_max + 1
     window = max(2, lane.v + order) if order <= opts.n_max else opts.n_max + 1
     # no summand is the zero ideal, so the first one counts as growth from None

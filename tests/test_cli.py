@@ -373,6 +373,15 @@ class TestExitCodes:
             assert time.perf_counter() - start < 5.0, nmax
             assert (code, out) == (0, "strongly F-regular: yes\n"), nmax
 
+    def test_binomial_cusp_at_a_huge_prime_ends(self, capsys):
+        # the Cartier level 1 of the cusp at p = 2^31 - 1 steps on exponent
+        # antichains; the polynomial lane's f^(p - 1) never finished
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "sigma", "--prime", "2147483647", "--vars", "x,y",
+                              "--divisor", "1*(x^3 - y^2)", "--emax", "1")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "sigma = (x, y)\nn = 1  e_max = 1  probe_stable = yes\n")
+
     def test_unit_mixed_row_skips_the_probe(self, capsys):
         # level 1 of the p = 11 mixed row is already R, which ends the step;
         # R holds every level, so the probe at levels 4 and 5 (about 8 s) is

@@ -35,7 +35,7 @@ from fsing import (
     verify_monomial_theorem,
 )
 from fsing.errors import DegreeGuardError, NonconvergenceError
-from fsing.nonfpure import _LatticeLane, _PolynomialLane, _ceil_mul, _lane
+from fsing.nonfpure import _BinomialLane, _LatticeLane, _PolynomialLane, _ceil_mul, _lane, _lucas_floor
 from fsing.ring import exponent_antichain, monomial_divides
 
 from oracles import random_monomial_gens, random_poly_terms
@@ -427,7 +427,7 @@ class TestLatticePeriod:
             seen = exponent_antichain(random_monomial_gens(rng, n, rng.randint(1, 3), 8))
             lane.level(seen, rng.randint(1, 3))
             state = exponent_antichain([*seen, *random_monomial_gens(rng, n, rng.randint(1, 3), 8)])
-            fresh += any(g not in lane._dots for g in state)
+            fresh += any(g not in lane._rows for g in state)
             facets = newton_hull(a).facets
             tn, td = t.numerator, t.denominator
             rows = (tn * c + td * (c + sum(v) + sum(map(mul, v, g))) for g in state for v, c in facets)
@@ -436,7 +436,7 @@ class TestLatticePeriod:
             while p**e <= bound:
                 e += 1
             assert lane.levels(state) == range(1, e + lane.order), (p, a, t, state)
-            assert all(lane._dots[g] == [sum(map(mul, v, g)) for v, _ in facets] for g in state)
+            assert all(lane._rows[g][0] == (*g, *(sum(map(mul, v, g)) for v, _ in facets)) for g in state)
         assert fresh >= 100
 
 
@@ -444,7 +444,8 @@ class TestDigitProducts:
     """Each digit product prod f_i^{d_i} is formed once per triple: counted
     by ``Polynomial.__pow__`` calls, which the chains re-made at every level
     and state before products were kept per call (10 for the cusp sigma
-    below, 18 for the restriction check)."""
+    below, 18 for the restriction check).  The cusp plus x^2*y^2 keeps the
+    polynomial lane; the binomial lane forms no power at all."""
 
     @staticmethod
     def count_powers(monkeypatch) -> list:
@@ -460,7 +461,10 @@ class TestDigitProducts:
 
     def test_cusp_chains_form_one_power(self, monkeypatch):
         # t = 1 has every digit p - 1 and no outside factor
-        T = cusp_triple(5)
+        R = PolyRing(5, ["x", "y"])
+        x, y = R.variable(0), R.variable(1)
+        T = Triple(R, QDivisor([(1, x**3 - y**2 + x**2 * y**2)]))
+        cusp, cusp7 = cusp_triple(5), cusp_triple(7, Fraction(5, 6))
         calls = self.count_powers(monkeypatch)
         result = sigma(T, SigmaOptions(e_max=4, probe=2))
         assert calls == [4]
@@ -468,11 +472,17 @@ class TestDigitProducts:
         calls.clear()
         tau_b(T)
         assert len(calls) == 1
+        # the cusp's sigma and its in-scope tau_b (ceil(5/6 * 7) < 7) step on
+        # exponent antichains
+        calls.clear()
+        assert sigma(cusp, SigmaOptions(e_max=4, probe=2)).ideal == maximal_ideal(cusp.ring)
+        assert tau_b(cusp7) == maximal_ideal(cusp7.ring)
+        assert calls == []
 
     def test_restriction_forms_one_power_per_factor(self, monkeypatch):
         R = PolyRing(7, ["x", "y", "z"])
         x, y = R.variable(0), R.variable(1)
-        B = QDivisor([(Fraction(5, 6), y**2 - x**3)])
+        B = QDivisor([(Fraction(5, 6), y**2 - x**3 + x**2 * y**2)])
         ambient = QDivisor([(1, R.variable(2)), *B.entries])
         calls = self.count_powers(monkeypatch)
         sigma(Triple(R, ambient))
@@ -617,7 +627,8 @@ class TestChainStep:
             opts = SigmaOptions(e_max=e_max, probe=3)
             result = sigma(T, opts)
             assert result.probe_stable and result.e_max_used == e0
-            assert self.probe(_lane(T, opts), result.ideal, opts), T
+            lane = _lane(T, opts)
+            assert self.probe(lane, lane.from_ideal(result.ideal), opts), T
             checked += 1
         assert checked >= 100
 
@@ -770,7 +781,7 @@ class TestCartier:
                 after = lane.level(lane.unit, (l + 1) * e0)
                 assert after == lane.level(member, e0), (T, l)
                 # sigma_step applies the same Cartier step on any ideal
-                assert sigma_step(member, T) == lane.level(member, e0), (T, l)
+                assert sigma_step(lane.to_ideal(member), T) == lane.to_ideal(lane.level(member, e0)), (T, l)
                 member = after
             checked += 1
         assert checked >= 100
@@ -780,6 +791,77 @@ class TestCartier:
         T = Triple(R, QDivisor([(2, R.variable(0))]))
         result = sigma(T)
         assert str(result.ideal) == "(y)"
+
+
+class TestBinomialLane:
+    """The binomial lane against the polynomial lane, on draws as in ROADMAP
+    item 14: p in {2, 3, 5, 7}, 1-3 variables, f = c1*x^A + c2*x^B with A, B
+    in [0, 4]^n and some A_j - B_j prime to p, and c = min(a/b, 1) with
+    a, b <= 6."""
+
+    @staticmethod
+    def draw(rng: random.Random) -> Triple:
+        while True:
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+            A, B = (tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(2))
+            if any((a - b) % p for a, b in zip(A, B)):
+                break
+        R = PolyRing(p, ["x", "y", "z"][:n])
+        f = R.from_terms({A: rng.randint(1, p - 1), B: rng.randint(1, p - 1)})
+        return Triple(R, QDivisor([(min(Fraction(rng.randint(1, 6), rng.randint(1, 6)), Fraction(1)), f)]))
+
+    def test_lucas_floor_matches_brute_force(self):
+        # seed 2801: for each p and 40 drawn N < p^4, every h <= N against
+        # the largest i <= h whose digits are each at most N's
+        rng = random.Random(2801)
+        for p in (2, 3, 5, 7):
+            for N in [p**4 - 1, 0, *(rng.randrange(p**4) for _ in range(40))]:
+                digits = [N // p**k % p for k in range(4)]
+                best = 0
+                for h in range(N + 1):
+                    if all(h // p**k % p <= d for k, d in enumerate(digits)):
+                        best = h
+                    assert _lucas_floor(h, digits, p) == best, (p, N, h)
+
+    def test_summands_match_polynomial_lane(self):
+        # seed 2802: levels 1 and 2 from a random monomial state, and the
+        # ascending summands where ceil(c p) < p, whether or not the triple
+        # has a Cartier level
+        rng = random.Random(2802)
+        ascended = 0
+        for _ in range(150):
+            T = self.draw(rng)
+            n = T.ring.nvars
+            binomial, poly = _BinomialLane(T, SigmaOptions()), _PolynomialLane(T, SigmaOptions())
+            state = exponent_antichain(random_monomial_gens(rng, n, rng.randint(1, 3), 6))
+            for e in (1, 2):
+                want = poly.level(binomial.to_ideal(state), e)
+                assert binomial.to_ideal(binomial.level(state, e)) == want, (T, state, e)
+                (c, _), p = T.divisor.entries[0], T.ring.p
+                if _ceil_mul(c, p) < p:
+                    assert binomial.to_ideal(binomial.ascend(e)) == poly.ascend(e), (T, e)
+                    ascended += 1
+        assert ascended >= 100
+
+    def test_chains_match_polynomial_lane(self, monkeypatch):
+        # seed 2803: every chain of an in-scope draw, against the same driver
+        # with the binomial lane taken out of the lane table
+        rng = random.Random(2803)
+        results = []
+        for _ in range(250):
+            T = self.draw(rng)
+            if not isinstance(_lane(T, SigmaOptions()), _BinomialLane):
+                continue
+            ascending = isinstance(_lane(T, SigmaOptions(), ascending=True), _BinomialLane)
+            opts = SigmaOptions(e_max=rng.randint(1, 4), probe=rng.randint(0, 2))
+            results.append((T, opts, ascending, sigma(T, opts), tau_b(T) if ascending else None))
+        monkeypatch.setattr(fsing.nonfpure, "_LANES", fsing.nonfpure._LANES[1:])
+        fields = lambda r: (r.ideal, r.iterations, r.e_max_used, r.probe_stable)
+        for T, opts, ascending, got, got_tau in results:
+            assert isinstance(_lane(T, opts), _PolynomialLane)
+            assert fields(got) == fields(sigma(T, opts)), (T, opts)
+            assert not ascending or got_tau == tau_b(T), T
+        assert len(results) >= 200 and sum(r[2] for r in results) >= 50
 
 
 class TestOneVariableOracle:
@@ -921,12 +1003,20 @@ class TestTau:
                     d = rng.choice(dens)
                     entries.append((Fraction(rng.randint(1, 2 * d), d), f))
             T = Triple(R, QDivisor(entries))
-            lane = _lane(T, SigmaOptions())
+            lane, poly = _lane(T, SigmaOptions(), ascending=True), _PolynomialLane(T, SigmaOptions())
             e0 = lane.cartier
+
+            def ascend(e, then=0):
+                # summand 0 is prod f_i^ceil(t_i), no monomial ideal, so the
+                # polynomial lane takes it and its level-e0 summand
+                lane_e = lane if e else poly
+                summand = lane_e.ascend(e)
+                return lane_e.to_ideal(lane_e.level(summand, then) if then else summand)
+
             for e in (0, 1, 2):
-                summand = lane.ascend(e + e0)
-                assert summand == lane.level(lane.ascend(e), e0), (T, e)
-                grew += summand != lane.ascend(e + e0 - 1)
+                summand = ascend(e + e0)
+                assert summand == ascend(e, e0), (T, e)
+                grew += summand != ascend(e + e0 - 1)
         assert grew >= 30
 
     def test_lattice_tau_builds_no_hull(self, monkeypatch):
